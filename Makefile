@@ -8,9 +8,9 @@ BENCH_TRACKED := BenchmarkScenarioSimulate$$|BenchmarkScenarioSimulateAggregate|
 BENCH_COUNT   ?= 10
 BENCH_DIR     ?= .bench
 
-.PHONY: ci vet build test race race-httpapi cover fuzz-smoke bench-smoke bench-alloc bench bench-baseline bench-compare batch-equivalence fabric-equivalence store-equivalence vulture-smoke process-equivalence
+.PHONY: ci vet build test shuffle race race-httpapi cover fuzz-smoke bench-smoke bench-alloc bench bench-baseline bench-compare batch-equivalence fabric-equivalence store-equivalence vulture-smoke process-equivalence
 
-ci: vet build race race-httpapi cover bench-alloc bench-smoke batch-equivalence fabric-equivalence store-equivalence process-equivalence vulture-smoke
+ci: vet build shuffle race race-httpapi cover bench-alloc bench-smoke batch-equivalence fabric-equivalence store-equivalence process-equivalence vulture-smoke
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +20,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Order and repetition independence: every test must pass twice in a
+# row, in a shuffled order, so no test leans on state another left behind.
+shuffle:
+	$(GO) test -count=2 -shuffle=on ./...
 
 race:
 	$(GO) test -race ./...
@@ -71,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeProcessSpec -fuzztime=$(FUZZTIME) ./internal/grid
 	$(GO) test -fuzz=FuzzProcessDraw -fuzztime=$(FUZZTIME) ./internal/outage
 	$(GO) test -fuzz=FuzzResultsQuery -fuzztime=$(FUZZTIME) ./internal/resultstore
+	$(GO) test -fuzz=FuzzRowProbe -fuzztime=$(FUZZTIME) ./internal/fabric
 
 # Allocation-regression gate: the aggregate simulation path and the sizing
 # inner loop must stay heap-allocation-free (see internal/cluster/alloc_test.go).
@@ -102,13 +108,22 @@ batch-equivalence:
 # single-node through cmd/gridrun and sharded across three in-process
 # loopback backupd workers through cmd/sweepfront must merge to identical
 # NDJSON — the tentpole contract, checked end to end through real HTTP.
+# The second leg gives no -shard-rows, so a filtered plan of 1,200
+# rows (sample_every plus min_outage) goes out in plan-scaled shards that
+# each worker range-compiles from the whole filtered cross product.
 fabric-equivalence:
 	@tmp=$$(mktemp -d); \
 	printf '%s' '{"servers":[16],"workloads":["specjbb","memcached"],"configs":[{"name":"MaxPerf"},{"name":"MinCost"},{"name":"NoDG"}],"techniques":[{"name":"baseline"},{"name":"throttling","pstate":3}],"outages":["30s","90s","5m","30m","1h"]}' > $$tmp/spec.json; \
+	printf '%s' '{"servers":[16],"workloads":["specjbb","memcached"],"configs":[{"name":"MaxPerf"},{"name":"MinCost"},{"name":"NoDG"},{"name":"LargeEUPS"}],"technique_variants":true,"outages":["30s","90s","3m","5m","10m","15m","30m","45m","1h","2h","3h"],"filter":{"sample_every":2,"min_outage":"1m"}}' > $$tmp/filtered.json; \
 	$(GO) run ./cmd/gridrun -spec $$tmp/spec.json -parallel 1 -o $$tmp/single.ndjson && \
 	$(GO) run ./cmd/sweepfront -loopback 3 -shard-rows 5 -spec $$tmp/spec.json -o $$tmp/fabric.ndjson && \
 	cmp $$tmp/single.ndjson $$tmp/fabric.ndjson && \
-	echo "fabric-equivalence: 3-worker sweepfront output identical to single-node gridrun" ; \
+	echo "fabric-equivalence: 3-worker sweepfront output identical to single-node gridrun" && \
+	$(GO) run ./cmd/gridrun -spec $$tmp/filtered.json -parallel 1 -o $$tmp/single-filtered.ndjson && \
+	$(GO) run ./cmd/sweepfront -loopback 3 -spec $$tmp/filtered.json -o $$tmp/fabric-filtered.ndjson && \
+	test $$(wc -l < $$tmp/single-filtered.ndjson) -ge 1000 && \
+	cmp $$tmp/single-filtered.ndjson $$tmp/fabric-filtered.ndjson && \
+	echo "fabric-equivalence: plan-scaled shards of a filtered plan identical to single-node gridrun" ; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
 # Persistent result store equivalence smoke (PR 9): a cold gridrun with

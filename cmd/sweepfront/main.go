@@ -14,11 +14,13 @@
 //	# serving frontend: forward /v1/sweep across the pool
 //	sweepfront -serve -addr :8081 -workers http://a:8080,http://b:8080
 //
-// -shard-rows sets the target shard size (cuts stay aligned to
-// outage-batch units), -max-inflight-per-worker the per-worker request
-// bound, -max-retries the re-dispatch budget per shard chain, and
-// -hedge-after the straggler hedge trigger (0 = adaptive from the
-// observed shard-latency median; negative disables hedging). None of
+// -shard-rows sets the target shard size (default: about four shards per
+// worker, rows / (4 × workers), and never under 64 rows; cuts stay
+// aligned to outage-batch units), -max-inflight-per-worker the
+// per-worker request bound, -max-retries the re-dispatch budget per
+// shard chain, and -hedge-after the straggler hedge trigger (0 =
+// adaptive from the observed shard-latency median; negative disables
+// hedging). None of
 // them changes the output bytes. -metrics-addr exposes the coordinator's
 // GET /metrics (shards dispatched/retried/hedged/cancelled, rows merged,
 // per-worker counters, p50/p99 shard latency) while a one-shot run is in
@@ -62,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	loopbackWidth := fs.Int("loopback-width", 0, "sweep width per loopback worker (0 = GOMAXPROCS, 1 = serial)")
 	servers := fs.Int("servers", 64, "default cluster size for specs without a servers axis (must match the workers')")
 	specPath := fs.String("spec", "", `JSON spec file ("-" = stdin); required unless -serve`)
-	shardRows := fs.Int("shard-rows", 0, "target rows per shard (0 = default; cuts stay batch-unit aligned)")
+	shardRows := fs.Int("shard-rows", 0, "target rows per shard (0 = max(64, plan rows / (4 × workers)); cuts stay batch-unit aligned)")
 	maxRetries := fs.Int("max-retries", 0, "re-dispatch budget per shard chain (0 = default, negative = none)")
 	maxInflight := fs.Int("max-inflight-per-worker", 0, "concurrent shard requests per worker (0 = default)")
 	hedgeAfter := fs.Duration("hedge-after", 0, "hedge straggler shards after this long (0 = adaptive, negative = off)")

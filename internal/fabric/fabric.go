@@ -59,8 +59,10 @@ type Options struct {
 	// and re-dispatch, not a client-wide timeout).
 	Client *http.Client
 
-	// ShardRows is the target rows per shard (0 = grid.DefaultShardRows).
-	// Cuts are aligned to batch-unit boundaries either way.
+	// ShardRows is the target rows per shard. 0 scales it with the plan:
+	// max(grid.DefaultShardRows, rows / (4 × workers)), so a large plan
+	// goes out as a few shards per worker rather than dozens of small
+	// requests. Cuts are aligned to batch-unit boundaries either way.
 	ShardRows int
 
 	// MaxRetries bounds re-dispatches per chain after the first attempt
@@ -210,7 +212,8 @@ func (f *Fabric) Run(ctx context.Context, spec grid.Spec, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	shards := plan.Shards(f.opt.ShardRows)
+	planRows := len(plan.Points)
+	shards := plan.Shards(f.shardRows(planRows))
 	if len(shards) == 0 {
 		return nil
 	}
@@ -242,7 +245,7 @@ func (f *Fabric) Run(ctx context.Context, spec grid.Spec, w io.Writer) error {
 			go func(i int, sh grid.RowRange) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				lines, err := f.runShard(ctx, spec, sh)
+				lines, err := f.runShard(ctx, spec, planRows, sh)
 				results <- shardOut{idx: i, lines: lines, err: err}
 			}(i, sh)
 		}
@@ -304,4 +307,16 @@ func (f *Fabric) Run(ctx context.Context, spec grid.Spec, w io.Writer) error {
 		firstErr = ctx.Err()
 	}
 	return firstErr
+}
+
+// shardRows is the target shard size for a plan of rows rows: the
+// configured ShardRows, or else about four shards per worker, never
+// fewer than grid.DefaultShardRows rows each. Four per worker keeps
+// every worker's inflight slots busy and leaves the tail short enough to
+// hedge, while a worker request still carries hundreds of rows.
+func (f *Fabric) shardRows(rows int) int {
+	if f.opt.ShardRows > 0 {
+		return f.opt.ShardRows
+	}
+	return max(grid.DefaultShardRows, rows/(4*len(f.opt.Workers)))
 }

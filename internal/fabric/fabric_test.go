@@ -113,6 +113,56 @@ func TestFabricMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestFabricShardRowsScaleWithPlan: with no ShardRows the shard size is
+// max(grid.DefaultShardRows, rows / (4 × workers)), cut on batch units,
+// and the merged bytes are unchanged; an explicit ShardRows overrides it.
+func TestFabricShardRowsScaleWithPlan(t *testing.T) {
+	spec := grid.Spec{
+		Servers:           []int{8},
+		Workloads:         []string{"specjbb"},
+		Configs:           []grid.ConfigDTO{{Name: "MaxPerf"}, {Name: "NoDG"}, {Name: "MinCost"}},
+		TechniqueVariants: true,
+		Outages:           []string{"30s", "2m", "5m", "10m", "20m", "30m", "1h", "2h"},
+	}
+	want := singleNodeNDJSON(t, spec)
+	plan, err := grid.Compile(spec, grid.CompileOptions{DefaultServers: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := len(plan.Points) // 720
+	urls := newWorkers(t, 2, nil)
+	for _, c := range []struct{ opt, size int }{
+		{0, rows / 8},
+		{5, 5},
+		{grid.DefaultShardRows, grid.DefaultShardRows},
+	} {
+		f, err := New(Options{Workers: urls, ShardRows: c.opt, HedgeAfter: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.shardRows(rows); got != c.size {
+			t.Fatalf("ShardRows %d: shard size %d, want %d", c.opt, got, c.size)
+		}
+		var got bytes.Buffer
+		if err := f.Run(t.Context(), spec, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("ShardRows %d: merged stream diverged from single node", c.opt)
+		}
+		if got, want := f.Metrics().shardsDispatched.Value(), int64(len(plan.Shards(c.size))); got != want {
+			t.Fatalf("ShardRows %d: %d shards dispatched, want %d", c.opt, got, want)
+		}
+	}
+	f, err := New(Options{Workers: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.shardRows(100); got != grid.DefaultShardRows {
+		t.Fatalf("a small plan shards at %d rows, want the %d-row floor", got, grid.DefaultShardRows)
+	}
+}
+
 // TestFabricEmptyPlan: a spec whose filter drops every row merges to an
 // empty stream without touching the pool.
 func TestFabricEmptyPlan(t *testing.T) {

@@ -3,13 +3,19 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
 	"backuppower/internal/grid"
 	"backuppower/internal/httpapi"
 )
+
+// maxBodyBytes caps a POST /v1/sweep body on the coordinator, matching
+// backupd's default request body limit.
+const maxBodyBytes = 1 << 20
 
 // Handler returns the coordinator's serving surface: POST /v1/sweep
 // decodes the same body backupd takes (spec plus optional timeout) and
@@ -29,9 +35,17 @@ func (f *Fabric) Handler() http.Handler {
 			Spec    grid.Spec `json:"spec"`
 			Timeout string    `json:"timeout,omitempty"`
 		}
-		dec := json.NewDecoder(r.Body)
+		// The same body discipline as backupd: at most maxBodyBytes, one
+		// JSON document, no unknown fields and nothing after it.
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		err := dec.Decode(&req)
+		if err == nil {
+			if _, tail := dec.Token(); !errors.Is(tail, io.EOF) {
+				err = errors.New("trailing data after JSON body")
+			}
+		}
+		if err != nil {
 			http.Error(w, fmt.Sprintf(`{"error":{"code":"invalid_json","message":%q}}`, err.Error()), http.StatusBadRequest)
 			return
 		}

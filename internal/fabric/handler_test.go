@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -74,6 +75,49 @@ func TestHandlerSweepRejects(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, resp.StatusCode)
 		}
+	}
+}
+
+// An oversized body and a body with data after the JSON object are
+// rejected with a 400 while decoding, as backupd rejects them: no shard
+// reaches a worker.
+func TestHandlerSweepRejectsHostileBodies(t *testing.T) {
+	var sweeps atomic.Int32
+	urls := newWorkers(t, 1, func(_ int, inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			sweeps.Add(1)
+			inner.ServeHTTP(w, r)
+		})
+	})
+	f, err := New(Options{Workers: urls, DefaultServers: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(f.Handler())
+	t.Cleanup(ts.Close)
+
+	spec, err := json.Marshal(map[string]any{"spec": testSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversized := `{"spec":{"workloads":["` + strings.Repeat("a", maxBodyBytes) + `"]}}`
+	for name, body := range map[string]string{
+		"oversized":        oversized,
+		"trailing garbage": string(spec) + " trailing",
+		"second document":  string(spec) + string(spec),
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "invalid_json") {
+			t.Errorf("%s: status %d %s, want 400 invalid_json", name, resp.StatusCode, msg)
+		}
+	}
+	if n := sweeps.Load(); n != 0 || f.Metrics().shardsDispatched.Value() != 0 {
+		t.Fatalf("rejected bodies still reached workers: %d sweeps, %d dispatches", n, f.Metrics().shardsDispatched.Value())
 	}
 }
 

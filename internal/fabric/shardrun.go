@@ -45,7 +45,7 @@ func permanent(err error) bool {
 // shard's start on another worker. The first chain to deliver the whole
 // range wins and the loser is cancelled; only the winner's buffer is
 // returned, so hedging never changes the merged bytes.
-func (f *Fabric) runShard(ctx context.Context, spec grid.Spec, sh grid.RowRange) ([][]byte, error) {
+func (f *Fabric) runShard(ctx context.Context, spec grid.Spec, planRows int, sh grid.RowRange) ([][]byte, error) {
 	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -57,7 +57,7 @@ func (f *Fabric) runShard(ctx context.Context, spec grid.Spec, sh grid.RowRange)
 	resc := make(chan out, 2) // buffered: a losing chain must never block
 	launch := func() {
 		go func() {
-			lines, err := f.runChain(ctx, spec, sh)
+			lines, err := f.runChain(ctx, spec, planRows, sh)
 			resc <- out{lines: lines, err: err}
 		}()
 	}
@@ -125,7 +125,7 @@ func (f *Fabric) hedgeDelay() (time.Duration, bool) {
 // chain's watermark, keep the validated prefix on failure, back off
 // (honoring Retry-After), and re-dispatch the remainder — preferring a
 // different worker than the one that just failed — up to MaxRetries times.
-func (f *Fabric) runChain(ctx context.Context, spec grid.Spec, sh grid.RowRange) ([][]byte, error) {
+func (f *Fabric) runChain(ctx context.Context, spec grid.Spec, planRows int, sh grid.RowRange) ([][]byte, error) {
 	lines := make([][]byte, 0, sh.Rows())
 	watermark := sh.Start
 	var last *worker
@@ -145,7 +145,7 @@ func (f *Fabric) runChain(ctx context.Context, spec grid.Spec, sh grid.RowRange)
 		f.metrics.shardsDispatched.Add(1)
 		f.metrics.workerDispatched.Add(w.url, 1)
 		before := len(lines)
-		watermark, err = f.fetch(ctx, w, spec, grid.RowRange{Start: watermark, End: sh.End}, &lines)
+		watermark, err = f.fetch(ctx, w, spec, planRows, grid.RowRange{Start: watermark, End: sh.End}, &lines)
 		f.pool.release(w, rows, err == nil)
 		if err == nil {
 			return lines, nil
@@ -185,13 +185,88 @@ type lineProbe struct {
 	Error json.RawMessage `json:"error"`
 }
 
+// probed is a classified stream line: a row with its plan index, or a
+// terminal in-band error with the worker's error object.
+type probed struct {
+	row    bool
+	index  int
+	detail json.RawMessage
+}
+
+// probeLine classifies one stream line exactly as json.Unmarshal into a
+// lineProbe would (FuzzRowProbe pins the agreement), but reads a row's
+// index from its leading {"index":N, and only checks that the rest is
+// valid JSON — every row a worker writes starts that way, so the decode
+// is left to the lines that do not: in-band errors and malformed input.
+func probeLine(line []byte) (probed, error) {
+	if idx, ok := leadingIndex(line); ok && json.Valid(line) {
+		return probed{row: true, index: idx}, nil
+	}
+	return unmarshalProbe(line)
+}
+
+// unmarshalProbe is the full decode behind probeLine's fast path.
+func unmarshalProbe(line []byte) (probed, error) {
+	var p lineProbe
+	if err := json.Unmarshal(line, &p); err != nil {
+		return probed{}, err
+	}
+	if p.Index == nil {
+		return probed{detail: p.Error}, nil
+	}
+	return probed{row: true, index: *p.Index}, nil
+}
+
+var indexPrefix = []byte(`{"index":`)
+
+// leadingIndex reads N from a line that starts {"index":N, with N a
+// plain decimal of at most 18 digits (so it cannot overflow). It
+// declines whenever json.Unmarshal could read another index from the
+// line: a later key that encoding/json matches to "index" (a duplicate,
+// or the same name in another case) overrides the first, so any key
+// ending in "ndex" under ASCII case folding — no other rune folds to
+// n, d, e or x — or any \u escape sends the line to the full decode.
+func leadingIndex(line []byte) (int, bool) {
+	if !bytes.HasPrefix(line, indexPrefix) {
+		return 0, false
+	}
+	rest := line[len(indexPrefix):]
+	n, i := 0, 0
+	for ; i < len(rest) && i < 18 && '0' <= rest[i] && rest[i] <= '9'; i++ {
+		n = n*10 + int(rest[i]-'0')
+	}
+	if i == 0 || i == len(rest) || rest[i] != ',' || (rest[0] == '0' && i > 1) {
+		return 0, false
+	}
+	rest = rest[i:]
+	if bytes.Contains(rest, []byte(`\u`)) {
+		return 0, false
+	}
+	for {
+		q := bytes.IndexByte(rest, '"')
+		if q < 0 {
+			return n, true
+		}
+		if q >= 4 && bytes.EqualFold(rest[q-4:q], []byte("ndex")) {
+			return 0, false
+		}
+		rest = rest[q+1:]
+	}
+}
+
 // fetch runs one HTTP attempt for rows [r.Start, r.End): POST /v1/sweep
 // with the spec and the explicit row range, validating that the response
 // streams exactly the requested rows in order. Validated lines are
 // appended to *lines verbatim (the merged output is the workers' bytes,
 // never re-encoded). It returns the new watermark — r.Start plus the
 // validated rows — and nil only when the whole range arrived.
-func (f *Fabric) fetch(ctx context.Context, w *worker, spec grid.Spec, r grid.RowRange, lines *[][]byte) (int, error) {
+//
+// The worker's extent headers must agree with the coordinator: a
+// X-Sweep-Plan-Rows other than planRows means the worker compiled a
+// different plan, and a X-Sweep-Rows other than the range's size means
+// it is about to stream the wrong rows. Either is a worker fault, retried
+// elsewhere like a dead stream.
+func (f *Fabric) fetch(ctx context.Context, w *worker, spec grid.Spec, planRows int, r grid.RowRange, lines *[][]byte) (int, error) {
 	body, err := json.Marshal(httpapi.SweepRequest{
 		Spec:     spec,
 		Width:    f.opt.WorkerWidth,
@@ -222,6 +297,16 @@ func (f *Fabric) fetch(ctx context.Context, w *worker, spec grid.Spec, r grid.Ro
 	if resp.StatusCode != http.StatusOK {
 		return r.Start, attemptFromStatus(w.url, resp)
 	}
+	for _, h := range []struct {
+		name string
+		want int
+	}{{"X-Sweep-Plan-Rows", planRows}, {"X-Sweep-Rows", r.Rows()}} {
+		v := resp.Header.Get(h.name)
+		if n, err := strconv.Atoi(v); v != "" && (err != nil || n != h.want) {
+			return r.Start, &attemptError{msg: fmt.Sprintf(
+				"%s: %s is %q, want %d for rows [%d,%d)", w.url, h.name, v, h.want, r.Start, r.End)}
+		}
+	}
 
 	rd := bufio.NewReader(resp.Body)
 	want := r.Start
@@ -234,17 +319,17 @@ func (f *Fabric) fetch(ctx context.Context, w *worker, spec grid.Spec, r grid.Ro
 			return want, &attemptError{msg: fmt.Sprintf(
 				"%s: stream died at row %d of [%d,%d): %v", w.url, want, r.Start, r.End, err)}
 		}
-		var probe lineProbe
-		if err := json.Unmarshal(line, &probe); err != nil {
+		probe, err := probeLine(line)
+		if err != nil {
 			return want, &attemptError{msg: fmt.Sprintf("%s: undecodable stream line: %v", w.url, err)}
 		}
-		if probe.Index == nil {
+		if !probe.row {
 			// Terminal in-band error: the worker's run failed mid-stream.
-			return want, attemptFromInbandError(w.url, probe.Error)
+			return want, attemptFromInbandError(w.url, probe.detail)
 		}
-		if *probe.Index != want {
+		if probe.index != want {
 			return want, &attemptError{msg: fmt.Sprintf(
-				"%s: stream discontinuity: got row %d, want %d", w.url, *probe.Index, want)}
+				"%s: stream discontinuity: got row %d, want %d", w.url, probe.index, want)}
 		}
 		*lines = append(*lines, line)
 		want++

@@ -168,6 +168,26 @@ type CompileOptions struct {
 // enumerated in canonical order. Plans evaluate the paper's default
 // testbed scaled to each row's server count.
 func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
+	plan, _, err := compile(spec, opt, nil)
+	return plan, err
+}
+
+// CompileRange is Compile restricted to the surviving rows r: every
+// validation, axis resolution, row bound and filter decision still runs
+// over the whole cross product, but only the Points whose index lies in
+// [r.Start, r.End) are materialized, each keeping its absolute Index.
+// The result equals Compile(spec, opt) followed by Plan.Slice(r) —
+// including the *FieldError for a range outside the plan — at a cost of
+// O(range) points instead of O(plan). planRows is the full plan's row
+// count. It is how a fabric worker compiles just its shard.
+func CompileRange(spec Spec, opt CompileOptions, r RowRange) (plan *Plan, planRows int, err error) {
+	return compile(spec, opt, &r)
+}
+
+// compile is the one enumeration behind Compile and CompileRange: with a
+// nil part it materializes every surviving row, otherwise only those in
+// *part. planRows is the surviving row count of the whole plan either way.
+func compile(spec Spec, opt CompileOptions, part *RowRange) (*Plan, int, error) {
 	op := spec.Op
 	if op == "" {
 		op = OpEvaluate
@@ -175,38 +195,38 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 	switch op {
 	case OpEvaluate, OpSize, OpBest:
 	default:
-		return nil, fieldErrf("invalid_field", "op",
+		return nil, 0, fieldErrf("invalid_field", "op",
 			"unknown op %q (known: %s, %s, %s)", spec.Op, OpEvaluate, OpSize, OpBest)
 	}
 
 	// Axis applicability by op.
 	if op == OpSize && len(spec.Configs) > 0 {
-		return nil, fieldErrf("invalid_field", "configs",
+		return nil, 0, fieldErrf("invalid_field", "configs",
 			"configs do not apply to op %q — the sizing search supplies the configuration", op)
 	}
 	if op == OpBest && (len(spec.Techniques) > 0 || spec.TechniqueVariants) {
-		return nil, fieldErrf("invalid_field", "techniques",
+		return nil, 0, fieldErrf("invalid_field", "techniques",
 			"techniques do not apply to op %q — the race supplies the technique", op)
 	}
 	if spec.TechniqueVariants && len(spec.Techniques) > 0 {
-		return nil, fieldErrf("invalid_field", "techniques",
+		return nil, 0, fieldErrf("invalid_field", "techniques",
 			"give either an explicit techniques axis or technique_variants, not both")
 	}
 	if spec.TechniqueVariants && spec.Zip {
-		return nil, fieldErrf("invalid_field", "technique_variants",
+		return nil, 0, fieldErrf("invalid_field", "technique_variants",
 			"technique_variants cannot be zipped; use a cross-product spec")
 	}
 	if len(spec.OutageProcesses) > 0 {
 		if len(spec.Outages) > 0 {
-			return nil, fieldErrf("invalid_field", "outage_processes",
+			return nil, 0, fieldErrf("invalid_field", "outage_processes",
 				"give either an outages axis or an outage_processes axis, not both")
 		}
 		if op != OpEvaluate {
-			return nil, fieldErrf("invalid_field", "outage_processes",
+			return nil, 0, fieldErrf("invalid_field", "outage_processes",
 				"outage processes do not apply to op %q — only %q evaluates a stochastic process", op, OpEvaluate)
 		}
 		if spec.Filter != nil && (spec.Filter.MinOutage != "" || spec.Filter.MaxOutage != "") {
-			return nil, fieldErrf("invalid_field", "filter.min_outage",
+			return nil, 0, fieldErrf("invalid_field", "filter.min_outage",
 				"outage-band filters do not apply to an outage_processes axis")
 		}
 	}
@@ -215,7 +235,7 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 	servers := spec.Servers
 	if len(servers) == 0 {
 		if opt.DefaultServers < 1 {
-			return nil, fieldErrf("invalid_field", "servers",
+			return nil, 0, fieldErrf("invalid_field", "servers",
 				"no servers axis and no usable default (%d)", opt.DefaultServers)
 		}
 		servers = []int{opt.DefaultServers}
@@ -223,7 +243,7 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 	envs := make([]technique.Env, len(servers))
 	for i, n := range servers {
 		if n < 1 {
-			return nil, fieldErrf("out_of_range", axisField("servers", i),
+			return nil, 0, fieldErrf("out_of_range", axisField("servers", i),
 				"%d servers (need >= 1)", n)
 		}
 		envs[i] = technique.DefaultEnv(n)
@@ -231,13 +251,13 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 
 	// Workloads axis.
 	if len(spec.Workloads) == 0 {
-		return nil, fieldErrf("missing_field", "workloads", "at least one workload is required")
+		return nil, 0, fieldErrf("missing_field", "workloads", "at least one workload is required")
 	}
 	workloads := make([]workload.Spec, len(spec.Workloads))
 	for i, name := range spec.Workloads {
 		w, err := ResolveWorkload(name)
 		if err != nil {
-			return nil, refield(err, axisField("workloads", i))
+			return nil, 0, refield(err, axisField("workloads", i))
 		}
 		workloads[i] = w
 	}
@@ -245,7 +265,7 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 	// Outage axis: point durations or stochastic processes, never both
 	// (checked above).
 	if len(spec.Outages) == 0 && len(spec.OutageProcesses) == 0 {
-		return nil, fieldErrf("missing_field", "outages",
+		return nil, 0, fieldErrf("missing_field", "outages",
 			"at least one outage duration (outages) or stochastic process (outage_processes) is required")
 	}
 	type outPoint struct {
@@ -256,14 +276,14 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 	for i, s := range spec.Outages {
 		d, err := ParseOutage(s)
 		if err != nil {
-			return nil, refield(err, axisField("outages", i))
+			return nil, 0, refield(err, axisField("outages", i))
 		}
 		outAxis = append(outAxis, outPoint{dur: d})
 	}
 	for i, d := range spec.OutageProcesses {
 		p, err := ResolveProcess(d)
 		if err != nil {
-			return nil, refield(err, axisField("outage_processes", i))
+			return nil, 0, refield(err, axisField("outage_processes", i))
 		}
 		outAxis = append(outAxis, outPoint{proc: p})
 	}
@@ -283,14 +303,14 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 		}
 	default:
 		if len(spec.Techniques) == 0 {
-			return nil, fieldErrf("missing_field", "techniques",
+			return nil, 0, fieldErrf("missing_field", "techniques",
 				"op %q needs a techniques axis (or technique_variants)", op)
 		}
 		deepest := len(technique.DefaultEnv(1).Server.PStates) - 1
 		for i, d := range spec.Techniques {
 			tech, err := ResolveTechnique(d, deepest)
 			if err != nil {
-				return nil, refield(err, axisField("techniques", i))
+				return nil, 0, refield(err, axisField("techniques", i))
 			}
 			techs = append(techs, techPoint{tech: tech})
 		}
@@ -302,7 +322,7 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 	if op == OpSize {
 		nconfigs = 1 // placeholder column: size rows carry no config
 	} else if nconfigs == 0 {
-		return nil, fieldErrf("missing_field", "configs",
+		return nil, 0, fieldErrf("missing_field", "configs",
 			"op %q needs a configs axis: Table 3 names or custom capacities", op)
 	}
 	var configs [][]cost.Backup // [servers index][config index]
@@ -313,7 +333,7 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 			for ci, d := range spec.Configs {
 				b, err := ResolveConfig(d, env.PeakPower())
 				if err != nil {
-					return nil, refield(err, axisField("configs", ci))
+					return nil, 0, refield(err, axisField("configs", ci))
 				}
 				configs[si][ci] = b
 			}
@@ -328,7 +348,7 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 		maxRows = DefaultMaxRows
 	}
 	if spec.MaxRows < 0 {
-		return nil, fieldErrf("out_of_range", "max_rows", "max_rows %d must be >= 0", spec.MaxRows)
+		return nil, 0, fieldErrf("out_of_range", "max_rows", "max_rows %d must be >= 0", spec.MaxRows)
 	}
 	if spec.MaxRows > 0 && spec.MaxRows < maxRows {
 		maxRows = spec.MaxRows
@@ -338,13 +358,13 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 	if spec.Zip {
 		var err error
 		if total, err = zipLength(spec, lens); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	} else {
 		total = 1
 		for _, n := range lens {
 			if total > maxRows/n {
-				return nil, fieldErrf("too_many_rows", "max_rows",
+				return nil, 0, fieldErrf("too_many_rows", "max_rows",
 					"grid expands past the %d-row bound (%s); shrink an axis, raise max_rows within the server's bound, or split the sweep",
 					maxRows, productString(lens))
 			}
@@ -352,21 +372,41 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 		}
 	}
 	if total > maxRows {
-		return nil, fieldErrf("too_many_rows", "max_rows",
+		return nil, 0, fieldErrf("too_many_rows", "max_rows",
 			"grid expands to %d rows, past the %d-row bound; shrink an axis or split the sweep", total, maxRows)
 	}
 
 	filter, err := compileFilter(spec.Filter)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	// Enumerate. Cross order, outermost to innermost: servers,
-	// workloads, configs, techniques, outages.
+	// workloads, configs, techniques, outages. The filter decides on the
+	// pre-filter position and the outage alone, so every row is counted
+	// but only the rows inside the requested range become Points.
 	plan := &Plan{Op: op}
-	pre := 0
+	lo, hi := 0, total
+	if part != nil {
+		lo, hi = part.Start, part.End
+		if n := min(hi, total) - max(lo, 0); n > 0 {
+			plan.Points = make([]Point, 0, n)
+		}
+	}
+	pre, rows := 0, 0
 	add := func(si, wi, ci, ti, oi int) {
+		keep := filter.keep(pre, outAxis[oi].dur)
+		pre++
+		if !keep {
+			return
+		}
+		idx := rows
+		rows++
+		if idx < lo || idx >= hi {
+			return
+		}
 		p := Point{
+			Index:    idx,
 			Servers:  servers[si],
 			Workload: workloads[wi],
 			Outage:   outAxis[oi].dur,
@@ -378,11 +418,7 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 		if op != OpBest {
 			p.Technique, p.Family = techs[ti].tech, techs[ti].family
 		}
-		if filter.keep(pre, p) {
-			p.Index = len(plan.Points)
-			plan.Points = append(plan.Points, p)
-		}
-		pre++
+		plan.Points = append(plan.Points, p)
 	}
 	if spec.Zip {
 		pick := func(n, i int) int {
@@ -407,7 +443,12 @@ func Compile(spec Spec, opt CompileOptions) (*Plan, error) {
 			}
 		}
 	}
-	return plan, nil
+	if part != nil {
+		if err := checkRange(*part, rows); err != nil {
+			return nil, 0, err
+		}
+	}
+	return plan, rows, nil
 }
 
 // zipLength validates the zip contract: every axis longer than one row
@@ -466,12 +507,13 @@ func compileFilter(f *Filter) (compiledFilter, error) {
 	return c, nil
 }
 
-// keep reports whether the row at pre-filter position pre survives.
-func (c compiledFilter) keep(pre int, p Point) bool {
-	if p.Outage < c.minOutage {
+// keep reports whether the row at pre-filter position pre, with point
+// outage d, survives.
+func (c compiledFilter) keep(pre int, d time.Duration) bool {
+	if d < c.minOutage {
 		return false
 	}
-	if c.hasMax && p.Outage > c.maxOutage {
+	if c.hasMax && d > c.maxOutage {
 		return false
 	}
 	if c.sampleEvery > 1 && pre%c.sampleEvery != 0 {

@@ -35,9 +35,12 @@ type RowRange struct {
 func (r RowRange) Rows() int { return r.End - r.Start }
 
 // DefaultShardRows is the target shard size when a caller does not say
-// otherwise: big enough that per-shard HTTP and plan-compile overhead is
-// amortized over many rows, small enough that a typical figure grid
-// still splits across a handful of workers.
+// otherwise, and the floor of the fabric's plan-scaled shard size: small
+// enough that a typical figure grid still splits across a handful of
+// workers. A shard's fixed cost is one HTTP round trip plus a
+// CompileRange, which materializes only the shard's rows but still walks
+// the whole cross product to count and filter them — so the fabric
+// grows shards with the plan rather than leaning on this constant.
 const DefaultShardRows = 64
 
 // Shards splits the plan into contiguous row ranges of about shardRows
@@ -80,9 +83,18 @@ func (p *Plan) Shards(shardRows int) []RowRange {
 // plan and be non-empty; violations are typed *FieldError rejections so
 // the HTTP surface maps them to a 400 like any other bad request field.
 func (p *Plan) Slice(r RowRange) (*Plan, error) {
-	if r.Start < 0 || r.End > len(p.Points) || r.Start >= r.End {
-		return nil, fieldErrf("out_of_range", "row_range",
-			"row range [%d, %d) outside the plan's %d rows", r.Start, r.End, len(p.Points))
+	if err := checkRange(r, len(p.Points)); err != nil {
+		return nil, err
 	}
 	return &Plan{Op: p.Op, Points: p.Points[r.Start:r.End]}, nil
+}
+
+// checkRange rejects a row range that is empty or reaches outside a
+// plan of rows rows.
+func checkRange(r RowRange, rows int) error {
+	if r.Start < 0 || r.End > rows || r.Start >= r.End {
+		return fieldErrf("out_of_range", "row_range",
+			"row range [%d, %d) outside the plan's %d rows", r.Start, r.End, rows)
+	}
+	return nil
 }

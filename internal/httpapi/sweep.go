@@ -70,21 +70,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	plan, err := grid.Compile(req.Spec, grid.CompileOptions{
+	opt := grid.CompileOptions{
 		DefaultServers: s.fw.Env.Servers,
 		MaxRows:        s.cfg.MaxSweepRows,
-	})
+	}
+	// A row range (a fabric shard) materializes only its own rows; the
+	// plan's validation, bound and filter still cover the whole spec.
+	var plan *grid.Plan
+	var planRows int
+	if req.RowRange != nil {
+		plan, planRows, err = grid.CompileRange(req.Spec, opt, *req.RowRange)
+	} else if plan, err = grid.Compile(req.Spec, opt); err == nil {
+		planRows = len(plan.Points)
+	}
 	if err != nil {
 		writeError(w, asAPIError(err))
 		return
-	}
-	planRows := len(plan.Points)
-	if req.RowRange != nil {
-		plan, err = plan.Slice(*req.RowRange)
-		if err != nil {
-			writeError(w, asAPIError(err))
-			return
-		}
 	}
 
 	if !s.acquire() {

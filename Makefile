@@ -8,9 +8,15 @@ BENCH_TRACKED := BenchmarkScenarioSimulate$$|BenchmarkScenarioSimulateAggregate|
 BENCH_COUNT   ?= 10
 BENCH_DIR     ?= .bench
 
-.PHONY: ci vet build test shuffle race race-httpapi cover fuzz-smoke bench-smoke bench-alloc bench bench-baseline bench-compare batch-equivalence fabric-equivalence store-equivalence vulture-smoke process-equivalence
+.PHONY: ci fmt vet build test shuffle race race-httpapi cover fuzz-smoke bench-smoke bench-alloc bench bench-baseline bench-compare batch-equivalence fabric-equivalence store-equivalence vulture-smoke process-equivalence
 
-ci: vet build shuffle race race-httpapi cover bench-alloc bench-smoke batch-equivalence fabric-equivalence store-equivalence process-equivalence vulture-smoke
+ci: fmt vet build shuffle race race-httpapi cover bench-alloc bench-smoke batch-equivalence fabric-equivalence store-equivalence process-equivalence vulture-smoke
+
+# Formatting gate: gofmt must have nothing to rewrite in any Go file git
+# tracks or would track (ignored build outputs are skipped).
+fmt:
+	@out=$$(gofmt -l $$(git ls-files --cached --others --exclude-standard '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -76,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeProcessSpec -fuzztime=$(FUZZTIME) ./internal/grid
 	$(GO) test -fuzz=FuzzProcessDraw -fuzztime=$(FUZZTIME) ./internal/outage
 	$(GO) test -fuzz=FuzzResultsQuery -fuzztime=$(FUZZTIME) ./internal/resultstore
+	$(GO) test -fuzz=FuzzRowCodec -fuzztime=$(FUZZTIME) ./internal/resultstore
 	$(GO) test -fuzz=FuzzRowProbe -fuzztime=$(FUZZTIME) ./internal/fabric
 
 # Allocation-regression gate: the aggregate simulation path and the sizing
@@ -130,12 +137,18 @@ fabric-equivalence:
 # -store-dir, then a warm rerun of the identical spec against the same
 # store, must produce byte-identical NDJSON while evaluating zero rows
 # (the warm store's recompute counter stays 0 — every row is a disk hit).
+# The cold leg writes exactly one record per plan row (24 puts) and
+# nothing in the retired scenario namespace (hits_scenarios stays 0).
 # Then a sealed block is torn mid-file: the next rerun must degrade
 # gracefully — recompute only the lost rows, still byte-identical output.
 store-equivalence:
 	@tmp=$$(mktemp -d); \
 	spec='-workloads specjbb,memcached -configs MaxPerf,NoDG -techniques baseline;sleep:low_power=true -outages 30s,5m,30m'; \
-	$(GO) run ./cmd/gridrun $$spec -store-dir $$tmp/store -o $$tmp/cold.ndjson && \
+	$(GO) run ./cmd/gridrun $$spec -store-dir $$tmp/store -store-stats -o $$tmp/cold.ndjson 2> $$tmp/cold-stats.json && \
+	test $$(wc -l < $$tmp/cold.ndjson) -eq 24 && \
+	grep -q '"puts":24,' $$tmp/cold-stats.json && \
+	grep -q '"hits_scenarios":0,' $$tmp/cold-stats.json && \
+	echo "store-equivalence: cold run put exactly its 24 rows, no scenario records" && \
 	$(GO) run ./cmd/gridrun $$spec -store-dir $$tmp/store -store-stats -parallel 4 -shard 3 -o $$tmp/warm.ndjson 2> $$tmp/warm-stats.json && \
 	cmp $$tmp/cold.ndjson $$tmp/warm.ndjson && \
 	grep -q '"recomputes":0,' $$tmp/warm-stats.json && \

@@ -75,7 +75,6 @@ func main() {
 			log.Fatalf("backupd: -store-dir: %v", err)
 		}
 		store = disk
-		core.SetResultStore(store)
 		grid.SetRowStore(store)
 		defer store.Close()
 	}

@@ -145,13 +145,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "gridrun: -store-dir: %v\n", err)
 			return 1
 		}
-		core.SetResultStore(store)
 		grid.SetRowStore(store)
 		defer func() {
 			// Detach before closing: run() is re-entrant (tests call it
-			// repeatedly) and the globals must not outlive the store.
+			// repeatedly) and the global must not outlive the store.
 			grid.SetRowStore(nil)
-			core.SetResultStore(nil)
 			if *storeStats {
 				st := store.Stats()
 				if b, err := json.Marshal(st); err == nil {

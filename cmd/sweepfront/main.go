@@ -45,7 +45,6 @@ import (
 	"syscall"
 	"time"
 
-	"backuppower/internal/core"
 	"backuppower/internal/fabric"
 	"backuppower/internal/grid"
 	"backuppower/internal/resultstore"
@@ -90,12 +89,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		store = disk
-		// The coordinator's store feeds this process's evaluation globals:
+		// The coordinator's store feeds this process's row-store global:
 		// loopback workers are in-process, so they consult and fill the
 		// same store the coordinator serves reads from. A remote -workers
 		// pool persists nothing here beyond what the coordinator itself
 		// evaluates (remote workers attach their own -store-dir).
-		core.SetResultStore(store)
 		grid.SetRowStore(store)
 		defer store.Close()
 	}

@@ -49,7 +49,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"backuppower/internal/core"
 	"backuppower/internal/fabric"
 	"backuppower/internal/grid"
 	"backuppower/internal/loadgen"
@@ -109,14 +108,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		store = disk
 		// The loopback workers are in-process, so attaching the store to
-		// the process globals covers them and the checker's local runner
-		// alike — every pathway the harness compares reads and writes the
-		// same store.
-		core.SetResultStore(store)
+		// the process-global row store covers them and the checker's local
+		// runner alike — every pathway the harness compares reads and
+		// writes the same store.
 		grid.SetRowStore(store)
 		defer func() {
 			grid.SetRowStore(nil)
-			core.SetResultStore(nil)
 			store.Close()
 		}()
 	}

@@ -39,17 +39,13 @@ func (f *Framework) EvaluateBatch(b cost.Backup, tech technique.Technique, w wor
 	var coldIdx []int
 	// One digest of the outage-invariant scenario content covers the whole
 	// axis: cacheKey carries the outage verbatim, so per-point keys are a
-	// struct copy plus an outage stamp — no per-point content hashing. The
-	// persistent tier's keys follow the same split (stableAxisKeys digests
-	// the invariant content once and stamps outages per point).
+	// struct copy plus an outage stamp — no per-point content hashing.
 	scn.Outage = outages[0]
 	base := f.scenarioCacheKey(scn)
-	st := scenarioStore()
-	stableAt := f.stableAxisKeys(scn, st.Persistent())
 	for i, d := range outages {
 		keys[i] = base
 		keys[i].outage = d
-		if v, err, ok := st.Peek(keys[i], stableAt(d)); ok {
+		if v, err, ok := scenarioCache.Peek(keys[i]); ok {
 			if err != nil {
 				return nil, err
 			}
@@ -75,9 +71,8 @@ func (f *Framework) EvaluateBatch(b cost.Backup, tech technique.Technique, w wor
 		// Seeding through Do keeps the singleflight and counter semantics:
 		// the first seed for a key counts the miss, a duplicate outage (or
 		// a racing scalar Evaluate) joins the existing entry as a hit, and
-		// whatever the entry holds is what every caller sees. Seed also
-		// writes the winning value through to the persistent tier.
-		got, err := st.Seed(keys[i], stableAt(outages[i]), res)
+		// whatever the entry holds is what every caller sees.
+		got, err := scenarioCache.Do(keys[i], func() (cluster.Result, error) { return res, nil })
 		if err != nil {
 			return nil, err
 		}

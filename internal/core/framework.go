@@ -22,7 +22,6 @@ import (
 	"backuppower/internal/cluster"
 	"backuppower/internal/cost"
 	"backuppower/internal/genset"
-	"backuppower/internal/resultstore"
 	"backuppower/internal/sweep"
 	"backuppower/internal/technique"
 	"backuppower/internal/units"
@@ -76,8 +75,7 @@ func (f *Framework) Evaluate(b cost.Backup, tech technique.Technique, w workload
 	if !keyable(scn) {
 		return cluster.SimulateAggregate(scn)
 	}
-	return scenarioStore().Do(f.scenarioCacheKey(scn),
-		func() resultstore.Key { return stableScenarioKey(scn) },
+	return scenarioCache.Do(f.scenarioCacheKey(scn),
 		func() (cluster.Result, error) { return cluster.SimulateAggregate(scn) })
 }
 

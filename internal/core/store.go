@@ -1,116 +1,10 @@
 package core
 
-import (
-	"crypto/sha256"
-	"encoding/json"
-	"fmt"
-	"sync/atomic"
-	"time"
+import "backuppower/internal/resultstore"
 
-	"backuppower/internal/cluster"
-	"backuppower/internal/resultstore"
-)
-
-// scenarioStorePtr holds the process-global tiered view over the scenario
-// memo cache: the memory tier is always scenarioCache (so attaching or
-// detaching a disk tier never invalidates memoized results), the disk
-// tier is whatever SetResultStore installed (nil by default — the zero
-// configuration behaves exactly as before the store existed).
-var scenarioStorePtr atomic.Pointer[resultstore.Tiered[cacheKey, cluster.Result]]
-
-func init() {
-	scenarioStorePtr.Store(resultstore.NewTiered[cacheKey, cluster.Result](
-		scenarioCache, nil, encodeScenarioResult, decodeScenarioResult))
-}
-
-// SetResultStore attaches (or, with nil, detaches) a persistent result
-// store under the process-wide scenario cache. Serving binaries call it
-// once at startup from -store-dir; the store outlives every Framework, so
-// the caller owns Close. Safe to call concurrently with evaluations —
-// in-flight calls finish against the tier set they started with.
-func SetResultStore(s resultstore.Store) {
-	scenarioStorePtr.Store(resultstore.NewTiered[cacheKey, cluster.Result](
-		scenarioCache, s, encodeScenarioResult, decodeScenarioResult))
-}
-
-// scenarioStore is the evaluation pathway's view of the tiered store.
-func scenarioStore() *resultstore.Tiered[cacheKey, cluster.Result] {
-	return scenarioStorePtr.Load()
-}
-
-// stableScenarioInvariant digests the outage-invariant scenario content
-// into the persistent store's key material. Unlike the memory tier's
-// maphash fingerprints (seeded per process), this digest is a pure
-// function of the content — %#v over the flat value structs that make up
-// a scenario renders every field deterministically, and the technique's
-// dynamic type is spelled out with %T so fieldless techniques (whose %#v
-// bodies are all "{}") cannot alias. The "scenario/v1" prefix versions
-// the digest: any change to what is folded in must bump it, retiring old
-// stored keys wholesale rather than aliasing them.
-func stableScenarioInvariant(s cluster.Scenario) [32]byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "scenario/v1|servers=%d|server=%#v|disk=%#v|mig=%#v|load=%#v|backup=%#v|tech=%T%#v",
-		s.Env.Servers, s.Env.Server, s.Env.Disk, s.Env.Mig, s.Workload, s.Backup, s.Technique, s.Technique)
-	var d [32]byte
-	h.Sum(d[:0])
-	return d
-}
-
-// stableScenarioKey is the persistent store key for one scenario: the
-// invariant digest plus the outage, mirroring cacheKey's split so batch
-// callers can digest once per axis.
-func stableScenarioKey(s cluster.Scenario) resultstore.Key {
-	return resultstore.NewKey(resultstore.NSScenario, stableScenarioInvariant(s), int64(s.Outage))
-}
-
-// scenarioSchemaV versions the stored scenario payload; decode rejects
-// anything else, degrading old payloads to recomputes instead of
-// misreads.
-const scenarioSchemaV = 1
-
-// storedScenario wraps a result with the payload schema version.
-type storedScenario struct {
-	V int            `json:"v"`
-	R cluster.Result `json:"r"`
-}
-
-// encodeScenarioResult serializes an aggregate result for the disk tier.
-// Traced results are refused: the store serves the aggregate pathway,
-// and traces are both huge and pointer-shaped. float64 fields round-trip
-// bit-exactly through JSON (Go emits the shortest representation that
-// parses back to the same bits), so a disk hit is indistinguishable from
-// the original computation.
-func encodeScenarioResult(r cluster.Result) ([]byte, bool) {
-	if r.PerfTrace != nil || r.PowerTrace != nil {
-		return nil, false
-	}
-	b, err := json.Marshal(storedScenario{V: scenarioSchemaV, R: r})
-	return b, err == nil
-}
-
-func decodeScenarioResult(payload []byte) (cluster.Result, bool) {
-	var s storedScenario
-	if err := json.Unmarshal(payload, &s); err != nil || s.V != scenarioSchemaV {
-		return cluster.Result{}, false
-	}
-	return s.R, true
-}
-
-// stableAxisKeys builds the per-outage stable-key thunks for a batch
-// call: one invariant digest covers the whole axis, each point stamps
-// its outage through the cheap 41-byte NewKey hash.
-func (f *Framework) stableAxisKeys(scn cluster.Scenario, persistent bool) func(time.Duration) func() resultstore.Key {
-	if !persistent {
-		// The tiered store never calls stable() without a disk tier;
-		// skip the content digest entirely.
-		return func(time.Duration) func() resultstore.Key {
-			return func() resultstore.Key { return resultstore.Key{} }
-		}
-	}
-	inv := stableScenarioInvariant(scn)
-	return func(d time.Duration) func() resultstore.Key {
-		return func() resultstore.Key {
-			return resultstore.NewKey(resultstore.NSScenario, inv, int64(d))
-		}
-	}
-}
+// SetResultStore does nothing: core keeps no persistent tier. The grid
+// runner serves stored sweep rows before dispatch (attach a store with
+// grid.SetRowStore), so a scenario that reaches core is one no stored
+// row covers, and persisting it would only add writes that are never
+// read. It remains so that existing callers compile.
+func SetResultStore(resultstore.Store) {}

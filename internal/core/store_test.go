@@ -4,139 +4,17 @@ import (
 	"testing"
 	"time"
 
-	"backuppower/internal/cluster"
 	"backuppower/internal/cost"
 	"backuppower/internal/resultstore"
-	"backuppower/internal/server"
-	"backuppower/internal/simkit"
 	"backuppower/internal/technique"
 	"backuppower/internal/workload"
 )
 
-func storeTestScenario(f *Framework, mut func(*cluster.Scenario)) cluster.Scenario {
-	s := cluster.Scenario{
-		Env:       f.Env,
-		Workload:  workload.Specjbb(),
-		Backup:    cost.NoDG(f.Env.PeakPower()),
-		Technique: technique.Sleep{LowPower: true},
-		Outage:    30 * time.Minute,
-	}
-	if mut != nil {
-		mut(&s)
-	}
-	return s
-}
-
-// TestStableScenarioKeySeparatesFields mirrors the memory-tier key test
-// for the persistent digest: flipping any scenario dimension must change
-// the stable key, and the same content must digest identically — the
-// property the memory tier's per-process maphash keys do not have.
-func TestStableScenarioKeySeparatesFields(t *testing.T) {
-	f := New(16)
-	ref := stableScenarioKey(storeTestScenario(f, nil))
-	if ref != stableScenarioKey(storeTestScenario(f, nil)) {
-		t.Fatal("identical scenarios digest differently")
-	}
-	if ref[0] != resultstore.NSScenario {
-		t.Fatalf("scenario key namespace byte %c", ref[0])
-	}
-	muts := map[string]func(*cluster.Scenario){
-		"servers":   func(s *cluster.Scenario) { s.Env.Servers++ },
-		"pstates":   func(s *cluster.Scenario) { s.Env.Server.PStates = server.MakePStates(5, 0.5) },
-		"workload":  func(s *cluster.Scenario) { s.Workload = workload.WebSearch() },
-		"backup":    func(s *cluster.Scenario) { s.Backup = cost.MaxPerf(f.Env.PeakPower()) },
-		"technique": func(s *cluster.Scenario) { s.Technique = technique.Sleep{} },
-		"techtype":  func(s *cluster.Scenario) { s.Technique = technique.Baseline{} },
-		"outage":    func(s *cluster.Scenario) { s.Outage += time.Minute },
-	}
-	for name, mut := range muts {
-		if got := stableScenarioKey(storeTestScenario(f, mut)); got == ref {
-			t.Errorf("mutating %s left the stable key unchanged", name)
-		}
-	}
-}
-
-func TestScenarioResultCodecRoundTrip(t *testing.T) {
-	f := New(4)
-	want, err := f.Evaluate(cost.NoDG(f.Env.PeakPower()), technique.Sleep{LowPower: true},
-		workload.Specjbb(), 30*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, ok := encodeScenarioResult(want)
-	if !ok {
-		t.Fatal("encode refused an aggregate result")
-	}
-	got, ok := decodeScenarioResult(payload)
-	if !ok {
-		t.Fatal("decode failed")
-	}
-	if got != want {
-		t.Fatalf("result did not round-trip:\n got %+v\nwant %+v", got, want)
-	}
-	// Traced results never reach the disk tier.
-	traced := want
-	traced.PerfTrace = &simkit.Trace{}
-	if _, ok := encodeScenarioResult(traced); ok {
-		t.Fatal("encode accepted a traced result")
-	}
-	// Unknown payload schema versions degrade to misses, not misreads.
-	if _, ok := decodeScenarioResult([]byte(`{"v":99,"r":{}}`)); ok {
-		t.Fatal("future schema version accepted")
-	}
-}
-
-// TestEvaluateWarmRestartServedFromStore is the tentpole equivalence at
-// the scenario layer: evaluate, wipe the memory tier (a restart), and the
-// second evaluation must be served from disk — identical result, one
-// store hit, no second simulation (pinned by the put/hit counters).
-func TestEvaluateWarmRestartServedFromStore(t *testing.T) {
-	disk, err := resultstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetResultStore(disk)
-	defer func() {
-		SetResultStore(nil)
-		ResetScenarioCache()
-		disk.Close()
-	}()
-	ResetScenarioCache()
-
-	f := New(8)
-	backup := cost.NoDG(f.Env.PeakPower())
-	tech := technique.Sleep{LowPower: true}
-	wl := workload.Specjbb()
-	cold, err := f.Evaluate(backup, tech, wl, 30*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := disk.Stats()
-	if st.Puts != 1 || st.RecomputesScenarios != 1 {
-		t.Fatalf("cold evaluation stats: %+v", st)
-	}
-
-	ResetScenarioCache() // simulate a process restart: memory tier gone, disk intact
-	warm, err := f.Evaluate(backup, tech, wl, 30*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm != cold {
-		t.Fatalf("store-served result differs:\n got %+v\nwant %+v", warm, cold)
-	}
-	st = disk.Stats()
-	if st.HitsScenarios != 1 {
-		t.Fatalf("warm restart did not hit the store: %+v", st)
-	}
-	if st.Puts != 1 {
-		t.Fatalf("warm restart re-put the scenario: %+v", st)
-	}
-}
-
-// TestEvaluateBatchWarmRestartServedFromStore runs the same restart
-// equivalence through the batch kernel (Peek + Seed pathway): after a
-// restart every axis point is served from disk and nothing is re-put.
-func TestEvaluateBatchWarmRestartServedFromStore(t *testing.T) {
+// TestSetResultStoreIsNoOp pins the retired scenario namespace: with a
+// store attached through the kept SetResultStore hook, scalar and batch
+// evaluation still memoize in the scenario cache exactly as without it,
+// and nothing reaches the store — no put, no lookup, no key.
+func TestSetResultStoreIsNoOp(t *testing.T) {
 	disk, err := resultstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -154,30 +32,22 @@ func TestEvaluateBatchWarmRestartServedFromStore(t *testing.T) {
 	tech := technique.Sleep{LowPower: true}
 	wl := workload.Specjbb()
 	outages := []time.Duration{5 * time.Minute, 10 * time.Minute, 30 * time.Minute, time.Hour}
-	cold, err := f.EvaluateBatch(backup, tech, wl, outages)
+	h0, m0 := ScenarioCacheStats()
+	scalar, err := f.Evaluate(backup, tech, wl, 30*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := disk.Stats()
-	if st.Puts != uint64(len(outages)) {
-		t.Fatalf("cold batch puts: %+v", st)
-	}
-
-	ResetScenarioCache()
-	warm, err := f.EvaluateBatch(backup, tech, wl, outages)
+	batch, err := f.EvaluateBatch(backup, tech, wl, outages)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range cold {
-		if warm[i] != cold[i] {
-			t.Fatalf("axis point %d diverged across restart", i)
-		}
+	if batch[2] != scalar {
+		t.Fatalf("batch point diverged from the memoized scalar result")
 	}
-	st = disk.Stats()
-	if st.HitsScenarios != uint64(len(outages)) {
-		t.Fatalf("warm batch hits: %+v", st)
+	if h1, m1 := ScenarioCacheStats(); h1-h0 != 1 || m1-m0 != uint64(len(outages)) {
+		t.Fatalf("scenario cache hits=%d misses=%d, want 1 and %d", h1-h0, m1-m0, len(outages))
 	}
-	if st.Puts != uint64(len(outages)) {
-		t.Fatalf("warm batch re-put: %+v", st)
+	if st := disk.Stats(); st != (resultstore.Stats{}) {
+		t.Fatalf("evaluation touched the attached store: %+v", st)
 	}
 }

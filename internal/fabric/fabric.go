@@ -95,8 +95,8 @@ type Options struct {
 	// Store, when set, is the coordinator's persistent result store
 	// (-store-dir): GET /v1/results is mounted over it on the Handler
 	// surface and its counters are appended to the metrics document.
-	// Attaching the store to the evaluation pathway (core.SetResultStore /
-	// grid.SetRowStore on the workers) is the caller's job.
+	// Attaching the store to the evaluation pathway (grid.SetRowStore on
+	// the workers) is the caller's job.
 	Store resultstore.Store
 
 	// QuarantineAfter is how many consecutive failures sideline a worker;

@@ -29,9 +29,9 @@ type LoopbackConfig struct {
 	Timeout time.Duration
 	// Store, when set, is mounted on each worker (GET /v1/results plus
 	// store counters on /metrics). Loopback workers are in-process, so a
-	// store attached to the process globals (core.SetResultStore /
-	// grid.SetRowStore) is already shared by all of them; this field only
-	// adds the serving surfaces.
+	// store attached to the process-global row store (grid.SetRowStore)
+	// is already shared by all of them; this field only adds the serving
+	// surfaces.
 	Store resultstore.Store
 }
 

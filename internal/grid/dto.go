@@ -82,13 +82,13 @@ func NewBackupDTO(b cost.Backup) BackupDTO {
 // backup/norm_cost/result when feasible); best fills best and result.
 // A row-level evaluation failure fills error instead.
 type RowDTO struct {
-	Index     int        `json:"index"`
-	Op        string     `json:"op"`
-	Servers   int        `json:"servers"`
-	Workload  string     `json:"workload"`
-	Config    string     `json:"config,omitempty"`
-	Family    string     `json:"family,omitempty"`
-	Technique string     `json:"technique,omitempty"`
+	Index     int    `json:"index"`
+	Op        string `json:"op"`
+	Servers   int    `json:"servers"`
+	Workload  string `json:"workload"`
+	Config    string `json:"config,omitempty"`
+	Family    string `json:"family,omitempty"`
+	Technique string `json:"technique,omitempty"`
 
 	// Outage is the point-outage coordinate; process rows omit it and
 	// carry their resolved process spec in Process instead.

@@ -17,17 +17,17 @@ import (
 // pointer (interfaces are not directly atomically swappable).
 type rowStoreBox struct{ s resultstore.Store }
 
-// rowStorePtr holds the process-global row store. Like core's scenario
-// tier it defaults to absent: the zero configuration dispatches every row
-// exactly as before the store existed.
+// rowStorePtr holds the process-global row store. It defaults to absent:
+// the zero configuration dispatches every row exactly as before the store
+// existed.
 var rowStorePtr atomic.Pointer[rowStoreBox]
 
 // SetRowStore attaches (or, with nil, detaches) a persistent row store
 // consulted by every Runner before dispatch. Serving binaries call it
-// once at startup from -store-dir; the caller owns Close. The same
-// physical store typically also backs core.SetResultStore — the row
-// namespace ('R') and scenario namespace ('S') share one WAL and block
-// sequence without colliding.
+// once at startup from -store-dir; the caller owns Close. This is the
+// only attachment point: core keeps no persistent tier (its scenario
+// memo is memory-only), and point rows ('R') and process rows ('P')
+// share one WAL and block sequence without colliding.
 func SetRowStore(s resultstore.Store) {
 	if s == nil {
 		rowStorePtr.Store(nil)

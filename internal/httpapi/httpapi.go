@@ -72,8 +72,8 @@ type Config struct {
 	// Store, when set, is the persistent result store behind -store-dir:
 	// GET /v1/results is mounted over it and its counters are appended to
 	// /metrics. Attaching the store to the evaluation pathway itself
-	// (core.SetResultStore / grid.SetRowStore) is the caller's job — the
-	// tiers are process-global while Servers are per-instance.
+	// (grid.SetRowStore) is the caller's job — the row store is
+	// process-global while Servers are per-instance.
 	Store resultstore.Store
 }
 

@@ -79,8 +79,8 @@ type Disk struct {
 	compacting atomic.Bool
 	wg         sync.WaitGroup
 
-	hitsRows, hitsScen, hitsOther       atomic.Uint64
-	missRows, missScen, missOther       atomic.Uint64
+	hitsRows, hitsOther                 atomic.Uint64
+	missRows, missOther                 atomic.Uint64
 	puts, putErrors, seals, compactions atomic.Uint64
 	corruptRecords, corruptBlocks       atomic.Uint64
 	walReplayed                         atomic.Uint64
@@ -239,8 +239,6 @@ func (d *Disk) hit(k Key) {
 	switch k[0] {
 	case NSRow, NSProcessRow:
 		d.hitsRows.Add(1)
-	case NSScenario:
-		d.hitsScen.Add(1)
 	default:
 		d.hitsOther.Add(1)
 	}
@@ -250,8 +248,6 @@ func (d *Disk) miss(k Key) {
 	switch k[0] {
 	case NSRow, NSProcessRow:
 		d.missRows.Add(1)
-	case NSScenario:
-		d.missScen.Add(1)
 	default:
 		d.missOther.Add(1)
 	}
@@ -349,14 +345,7 @@ func (d *Disk) Seal() error {
 	seq := d.nextSeq
 	d.nextSeq++
 
-	buf := []byte(blockMagic)
-	offs := make([]int64, len(keys))
-	lens := make([]int, len(keys))
-	for i, k := range keys {
-		offs[i] = int64(len(buf))
-		buf = appendRecord(buf, k, d.mem[k])
-		lens[i] = int(int64(len(buf)) - offs[i])
-	}
+	buf, offs, lens := buildBlock(keys, d.mem)
 	b, err := d.writeBlock(seq, buf)
 	if err != nil {
 		d.mu.Unlock()
@@ -384,6 +373,26 @@ func (d *Disk) Seal() error {
 	}
 	d.mu.Unlock()
 	return nil
+}
+
+// buildBlock frames the records of keys (sorted) into one block image,
+// returning each record's offset and length. The image is sized up front
+// from the payload lengths, so it is allocated once and never regrown;
+// its bytes are exactly the magic followed by appendRecord per key.
+func buildBlock(keys []Key, payloads map[Key][]byte) (buf []byte, offs []int64, lens []int) {
+	size := len(blockMagic)
+	for _, k := range keys {
+		size += recordOverhead + len(payloads[k])
+	}
+	buf = append(make([]byte, 0, size), blockMagic...)
+	offs = make([]int64, len(keys))
+	lens = make([]int, len(keys))
+	for i, k := range keys {
+		offs[i] = int64(len(buf))
+		buf = appendRecord(buf, k, payloads[k])
+		lens[i] = len(buf) - int(offs[i])
+	}
+	return buf, offs, lens
 }
 
 // writeBlock writes buf to a temp file, fsyncs, renames it into place,
@@ -450,20 +459,12 @@ func (d *Disk) compact(snapshot []*blockFile, mergedSeq uint64) {
 		keys = append(keys, k)
 	}
 	sortKeys(keys)
-	buf := []byte(blockMagic)
-	offs := make([]int64, len(keys))
-	lens := make([]int, len(keys))
-	for i, k := range keys {
-		offs[i] = int64(len(buf))
-		buf = appendRecord(buf, k, merged[k])
-		lens[i] = int(int64(len(buf)) - offs[i])
-	}
+	buf, offs, lens := buildBlock(keys, merged)
 
+	// Close waits for this goroutine before releasing any handle, so the
+	// merge completes even when Close has already begun.
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return
-	}
 	b, err := d.writeBlock(mergedSeq, buf)
 	if err != nil {
 		d.putErrors.Add(1)
@@ -575,40 +576,43 @@ func (d *Disk) Stats() Stats {
 	}
 	walBytes := d.walBytes
 	d.mu.RUnlock()
-	hr, hs, ho := d.hitsRows.Load(), d.hitsScen.Load(), d.hitsOther.Load()
-	mr, ms, mo := d.missRows.Load(), d.missScen.Load(), d.missOther.Load()
+	hr, ho := d.hitsRows.Load(), d.hitsOther.Load()
+	mr, mo := d.missRows.Load(), d.missOther.Load()
 	return Stats{
-		Blocks:              blocks,
-		Compactions:         d.compactions.Load(),
-		CorruptBlocks:       d.corruptBlocks.Load(),
-		CorruptRecords:      d.corruptRecords.Load(),
-		Hits:                hr + hs + ho,
-		HitsRows:            hr,
-		HitsScenarios:       hs,
-		Keys:                keys,
-		PutErrors:           d.putErrors.Load(),
-		Puts:                d.puts.Load(),
-		Recomputes:          mr + ms + mo,
-		RecomputesRows:      mr,
-		RecomputesScenarios: ms,
-		Seals:               d.seals.Load(),
-		WALBytes:            walBytes,
-		WALReplayed:         d.walReplayed.Load(),
-		WALTornBytes:        d.walTornBytes.Load(),
+		Blocks:         blocks,
+		Compactions:    d.compactions.Load(),
+		CorruptBlocks:  d.corruptBlocks.Load(),
+		CorruptRecords: d.corruptRecords.Load(),
+		Hits:           hr + ho,
+		HitsRows:       hr,
+		Keys:           keys,
+		PutErrors:      d.putErrors.Load(),
+		Puts:           d.puts.Load(),
+		Recomputes:     mr + mo,
+		RecomputesRows: mr,
+		Seals:          d.seals.Load(),
+		WALBytes:       walBytes,
+		WALReplayed:    d.walReplayed.Load(),
+		WALTornBytes:   d.walTornBytes.Load(),
 	}
 }
 
 // Close implements Store: seal pending writes, wait out compaction,
-// release every handle.
+// release every handle. Marking the store closed before the wait stops
+// Put, Seal and Compact from starting another background compaction, so
+// once Close returns no goroutine of the store is left running.
 func (d *Disk) Close() error {
 	d.Seal()
-	d.wg.Wait()
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
+		d.mu.Unlock()
 		return nil
 	}
 	d.closed = true
+	d.mu.Unlock()
+	d.wg.Wait()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	var first error
 	if err := d.wal.Close(); err != nil && first == nil {
 		first = err

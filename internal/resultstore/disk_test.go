@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func testKey(ns byte, i int) Key {
@@ -57,14 +59,14 @@ func TestDiskPutGetSealReopen(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ns := byte(NSRow)
 		if i%2 == 0 {
-			ns = NSScenario
+			ns = NSProcessRow
 		}
 		d.Put(testKey(ns, i), testPayload(i))
 	}
 	for i := 0; i < n; i++ {
 		ns := byte(NSRow)
 		if i%2 == 0 {
-			ns = NSScenario
+			ns = NSProcessRow
 		}
 		got, ok := d.Get(testKey(ns, i))
 		if !ok || !bytes.Equal(got, testPayload(i)) {
@@ -90,16 +92,30 @@ func TestDiskPutGetSealReopen(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ns := byte(NSRow)
 		if i%2 == 0 {
-			ns = NSScenario
+			ns = NSProcessRow
 		}
 		got, ok := d2.Get(testKey(ns, i))
 		if !ok || !bytes.Equal(got, testPayload(i)) {
 			t.Fatalf("reopened Get(%d): ok=%v got=%q", i, ok, got)
 		}
 	}
+	// Both row namespaces count as row hits; the retired scenario
+	// counters stay at zero. The keys are distinct per namespace.
 	st = d2.Stats()
-	if st.HitsRows == 0 || st.HitsScenarios == 0 || st.Hits != n {
+	if st.HitsRows != n || st.HitsScenarios != 0 || st.Hits != n || st.Keys != n {
 		t.Fatalf("namespace hit split: %+v", st)
+	}
+	for i := 0; i < n; i++ {
+		ns := byte(NSProcessRow)
+		if i%2 == 0 {
+			ns = NSRow
+		}
+		if _, ok := d2.Get(testKey(ns, i)); ok {
+			t.Fatalf("Get(%d) in the other namespace hit", i)
+		}
+	}
+	if st = d2.Stats(); st.RecomputesRows != n || st.RecomputesScenarios != 0 || st.Recomputes != n {
+		t.Fatalf("namespace miss split: %+v", st)
 	}
 }
 
@@ -341,7 +357,7 @@ func TestDiskScan(t *testing.T) {
 	defer d.Close()
 	for i := 0; i < 6; i++ {
 		d.Put(testKey(NSRow, i), []byte("sealed"))
-		d.Put(testKey(NSScenario, i), []byte("scenario"))
+		d.Put(testKey(NSProcessRow, i), []byte("process"))
 	}
 	if err := d.Seal(); err != nil {
 		t.Fatal(err)
@@ -377,6 +393,19 @@ func TestDiskScan(t *testing.T) {
 			t.Fatalf("scan order not ascending at %d", i)
 		}
 	}
+	procKeys := 0
+	if err := d.Scan(NSProcessRow, func(k Key, payload []byte) error {
+		if k[0] != NSProcessRow || string(payload) != "process" {
+			t.Fatalf("process scan leaked %c/%q", k[0], payload)
+		}
+		procKeys++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if procKeys != 6 {
+		t.Fatalf("scanned %d process keys, want 6", procKeys)
+	}
 	// fn's error aborts.
 	calls := 0
 	sentinel := fmt.Errorf("stop")
@@ -392,8 +421,8 @@ func TestNewKeyNamespaceAndDistinctness(t *testing.T) {
 	var inv [32]byte
 	a := NewKey(NSRow, inv, 1)
 	b := NewKey(NSRow, inv, 2)
-	c := NewKey(NSScenario, inv, 1)
-	if a[0] != NSRow || c[0] != NSScenario {
+	c := NewKey(NSProcessRow, inv, 1)
+	if a[0] != NSRow || c[0] != NSProcessRow {
 		t.Fatalf("namespace byte not leading: %v %v", a, c)
 	}
 	if a == b || a == c {
@@ -402,5 +431,93 @@ func TestNewKeyNamespaceAndDistinctness(t *testing.T) {
 	inv[5] = 1
 	if NewKey(NSRow, inv, 1) == a {
 		t.Fatal("invariant digest ignored")
+	}
+}
+
+// TestBuildBlockPresized: the block image is allocated once at its exact
+// size and holds the same bytes as framing each record onto a growing
+// buffer, so sizing it up front changed no block on disk.
+func TestBuildBlockPresized(t *testing.T) {
+	payloads := map[Key][]byte{}
+	var keys []Key
+	for i := 0; i < 40; i++ {
+		k := testKey(NSRow, i)
+		payloads[k] = bytes.Repeat([]byte{byte(i)}, i*7)
+		keys = append(keys, k)
+	}
+	sortKeys(keys)
+	buf, offs, lens := buildBlock(keys, payloads)
+	if cap(buf) != len(buf) {
+		t.Fatalf("block image cap %d for %d bytes: not presized exactly", cap(buf), len(buf))
+	}
+	want := []byte(blockMagic)
+	for i, k := range keys {
+		if offs[i] != int64(len(want)) {
+			t.Fatalf("record %d offset %d, want %d", i, offs[i], len(want))
+		}
+		want = appendRecord(want, k, payloads[k])
+		if lens[i] != len(want)-int(offs[i]) {
+			t.Fatalf("record %d length %d", i, lens[i])
+		}
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("presized block bytes differ from the appended framing")
+	}
+}
+
+// TestDiskCloseDuringCompaction: Close issued while a background
+// compaction runs returns, waits the merge out (no goroutine of the store
+// survives it), and a reopen serves every sealed key from one block.
+func TestDiskCloseDuringCompaction(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	dir := t.TempDir()
+	d := mustOpen(t, dir)
+	const perBlock = 400
+	pad := bytes.Repeat([]byte("x"), 256)
+	for g := 0; g < compactAt; g++ {
+		for i := 0; i < perBlock; i++ {
+			d.Put(testKey(NSRow, g*perBlock+i), append(testPayload(g*perBlock+i), pad...))
+		}
+		if err := d.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !d.compacting.Load() {
+		t.Fatal("the last seal did not start a background compaction")
+	}
+	done := make(chan error, 1)
+	go func() { done <- d.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return while a compaction ran")
+	}
+	if st := d.Stats(); st.Compactions != 1 {
+		t.Fatalf("Close abandoned the merge: %+v", st)
+	}
+	// The compaction goroutine has called wg.Done; give it the moment it
+	// needs to exit before counting.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after Close, baseline %d", n, baseline)
+	}
+
+	d2 := mustOpen(t, dir)
+	defer d2.Close()
+	if st := d2.Stats(); st.Blocks != 1 || st.Keys != compactAt*perBlock {
+		t.Fatalf("reopened stats: %+v", st)
+	}
+	for i := 0; i < compactAt*perBlock; i++ {
+		got, ok := d2.Get(testKey(NSRow, i))
+		if !ok || !bytes.Equal(got, append(testPayload(i), pad...)) {
+			t.Fatalf("sealed key %d lost across Close during compaction", i)
+		}
 	}
 }

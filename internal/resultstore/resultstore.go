@@ -1,39 +1,37 @@
-// Package resultstore is the tiered persistent result store behind the
-// evaluation pathway (ROADMAP item 2): the explicit contract that was
-// implicit in core's process-global sweep.Cache. The in-memory
-// singleflight tier (sweep.Cache, unchanged) keeps today's semantics bit
-// for bit; an optional on-disk tier underneath survives restarts, so a
-// sweep run once serves every later rerun, deployment, and read query
-// without re-simulating anything it has already seen.
+// Package resultstore is the persistent result store behind the grid
+// runner: a sweep run once serves every later rerun, deployment, and read
+// query from disk without re-simulating rows it has already seen. The
+// in-process scenario memo (core's sweep.Cache) is a separate, memory-only
+// tier; the store holds whole sweep rows, which the runner consults before
+// dispatch.
 //
-// The disk tier is an LSM-lite: puts append to a CRC-framed write-ahead
-// log and land in a memtable; Seal (called when a sweep completes)
-// rewrites the memtable as an immutable sorted block and truncates the
-// WAL; background compaction folds accumulated blocks together. Open
-// replays the WAL, discarding a torn tail, and reads blocks newest-wins,
-// so a crash at any byte offset loses at most the unsynced WAL suffix —
-// never yields a torn or duplicated row.
+// The store is an LSM-lite: puts append to a CRC-framed write-ahead log
+// and land in a memtable; Seal (called when a sweep completes) rewrites
+// the memtable as an immutable sorted block and truncates the WAL;
+// background compaction folds accumulated blocks together. Open replays
+// the WAL, discarding a torn tail, and reads blocks newest-wins, so a
+// crash at any byte offset loses at most the unsynced WAL suffix — never
+// yields a torn or duplicated row.
 //
 // Keys are 128-bit stable content fingerprints (sha256-derived — unlike
 // the memory tier's maphash keys they do not change across processes)
-// with a leading namespace byte: 'S' for scenario-level payloads
-// (core.Evaluate results), 'R' for row-level payloads (grid sweep rows,
-// the unit /v1/results queries serve).
+// with a leading namespace byte: 'R' for point rows, 'P' for
+// stochastic-process rows. Payloads are StoredRows in the fixed binary
+// layout of row.go (version byte 2); EncodeRow and DecodeRow are the only
+// codec, shared by the runner, Scan, and the /v1/results query engine.
 package resultstore
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-
-	"backuppower/internal/sweep"
 )
 
-// Namespace bytes, the first byte of every Key. Scenario and row payloads
+// Namespace bytes, the first byte of every Key. Point and process rows
 // share one WAL and block sequence; the namespace keeps their key spaces
-// (and hit/recompute accounting) apart.
+// apart. Records under any other byte (a store directory written before
+// the scenario namespace 'S' was retired holds some) are never read.
 const (
-	NSScenario byte = 'S'
-	NSRow      byte = 'R'
+	NSRow byte = 'R'
 	// NSProcessRow keys stochastic-process sweep rows. Process rows get
 	// their own namespace byte so their fingerprints can never alias a
 	// point row's, even if the two invariant digests collided: the
@@ -102,9 +100,11 @@ type Store interface {
 
 // Stats is a snapshot of a store's counters. Hits count Gets served;
 // Recomputes count Gets that missed at an evaluation site — each one is
-// (at most) one simulation the store could not save. The Rows/Scenarios
-// split follows the key namespace. Field order is the JSON key order
-// (alphabetical), pinned because /metrics documents are layout-stable.
+// (at most) one simulation the store could not save. HitsRows and
+// RecomputesRows count the row namespaces ('R' and 'P'). HitsScenarios
+// and RecomputesScenarios counted the retired scenario namespace and read
+// 0; they stay because /metrics documents are layout-stable. Field order
+// is the JSON key order (alphabetical), pinned for the same reason.
 type Stats struct {
 	Blocks              int    `json:"blocks"`
 	Compactions         uint64 `json:"compactions"`
@@ -123,104 +123,4 @@ type Stats struct {
 	WALBytes            int64  `json:"wal_bytes"`
 	WALReplayed         uint64 `json:"wal_replayed"`
 	WALTornBytes        int64  `json:"wal_torn_bytes"`
-}
-
-// Tiered composes the in-memory singleflight tier over an optional
-// persistent Store. With no disk tier it delegates to the memory cache
-// directly, so attaching the type costs nothing when no -store-dir is
-// configured. With a disk tier, the warm/cold split reuses the Peek/Do
-// discipline: the memory tier is consulted first (a completed entry is a
-// hit, exactly as today), the disk tier fills memory misses (seeding the
-// memory entry through Do, which counts the same miss a computation
-// would), and only a miss in both tiers computes — then writes through to
-// disk. Memory-tier hit/miss accounting is therefore indistinguishable
-// from the store-less configuration.
-//
-// stable is called only when the disk tier is actually consulted, so the
-// (comparatively expensive) content digest is never paid on the memory
-// fast path. Errors are memoized in the memory tier only — the disk
-// stores results, never failures.
-type Tiered[K comparable, V any] struct {
-	mem    *sweep.Cache[K, V]
-	disk   Store
-	encode func(V) ([]byte, bool)
-	decode func([]byte) (V, bool)
-}
-
-// NewTiered builds a tiered view over mem and disk (disk may be nil).
-// encode/decode are the payload codec; encode returning false skips the
-// disk write (e.g. a value that cannot round-trip), decode returning
-// false degrades the disk hit to a miss.
-func NewTiered[K comparable, V any](mem *sweep.Cache[K, V], disk Store,
-	encode func(V) ([]byte, bool), decode func([]byte) (V, bool)) *Tiered[K, V] {
-	return &Tiered[K, V]{mem: mem, disk: disk, encode: encode, decode: decode}
-}
-
-// Persistent reports whether a disk tier is attached.
-func (t *Tiered[K, V]) Persistent() bool { return t.disk != nil }
-
-// Do returns the memoized result for memKey, consulting memory, then
-// disk, then computing. Concurrent callers for the same memKey share a
-// single computation (singleflight, inherited from the memory tier).
-func (t *Tiered[K, V]) Do(memKey K, stable func() Key, compute func() (V, error)) (V, error) {
-	if t.disk == nil {
-		return t.mem.Do(memKey, compute)
-	}
-	if v, err, ok := t.mem.Peek(memKey); ok {
-		return v, err
-	}
-	sk := stable()
-	if payload, ok := t.disk.Get(sk); ok {
-		if v, ok := t.decode(payload); ok {
-			// Seed memory through Do: the first seeder counts the miss a
-			// computation would have, a racing caller joins it as a hit.
-			return t.mem.Do(memKey, func() (V, error) { return v, nil })
-		}
-	}
-	v, err := t.mem.Do(memKey, compute)
-	if err == nil {
-		if payload, ok := t.encode(v); ok {
-			t.disk.Put(sk, payload)
-		}
-	}
-	return v, err
-}
-
-// Peek returns the memoized result without computing: memory first (a
-// completed entry is a hit), then disk (a disk hit seeds the memory tier,
-// counting the miss the skipped computation would have). ok is false only
-// when both tiers miss; as with the memory tier's Peek, that miss is not
-// counted here — the caller's seeding Do reports it.
-func (t *Tiered[K, V]) Peek(memKey K, stable func() Key) (V, error, bool) {
-	if v, err, ok := t.mem.Peek(memKey); ok {
-		return v, err, true
-	}
-	if t.disk == nil {
-		var zero V
-		return zero, nil, false
-	}
-	sk := stable()
-	if payload, ok := t.disk.Get(sk); ok {
-		if v, ok := t.decode(payload); ok {
-			v2, err := t.mem.Do(memKey, func() (V, error) { return v, nil })
-			return v2, err, true
-		}
-	}
-	var zero V
-	return zero, nil, false
-}
-
-// Seed memoizes an already-computed value: the memory entry goes through
-// Do (first seeder counts the miss, racers join as hits — the batch
-// evaluator's existing contract) and the value is written through to the
-// disk tier. The memoized value is returned: if a racing computation got
-// there first, its entry wins, exactly as in the memory-only path.
-func (t *Tiered[K, V]) Seed(memKey K, stable func() Key, v V) (V, error) {
-	got, err := t.mem.Do(memKey, func() (V, error) { return v, nil })
-	if t.disk != nil && err == nil {
-		if payload, ok := t.encode(got); ok {
-			t.disk.Put(stable(), payload)
-		}
-	}
-	return got, err
 }

@@ -8,9 +8,9 @@ BENCH_TRACKED := BenchmarkScenarioSimulate$$|BenchmarkScenarioSimulateAggregate|
 BENCH_COUNT   ?= 10
 BENCH_DIR     ?= .bench
 
-.PHONY: ci fmt vet build test shuffle race race-httpapi cover fuzz-smoke bench-smoke bench-alloc bench bench-baseline bench-compare batch-equivalence fabric-equivalence store-equivalence vulture-smoke process-equivalence
+.PHONY: ci fmt vet reach build test shuffle race race-httpapi cover fuzz-smoke bench-smoke bench-alloc bench bench-baseline bench-compare batch-equivalence fabric-equivalence store-equivalence vulture-smoke process-equivalence
 
-ci: fmt vet build shuffle race race-httpapi cover bench-alloc bench-smoke batch-equivalence fabric-equivalence store-equivalence process-equivalence vulture-smoke
+ci: fmt vet reach build shuffle race race-httpapi cover bench-alloc bench-smoke batch-equivalence fabric-equivalence store-equivalence process-equivalence vulture-smoke
 
 # Formatting gate: gofmt must have nothing to rewrite in any Go file git
 # tracks or would track (ignored build outputs are skipped).
@@ -20,6 +20,13 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Reachability gate: every production function must be linked into some
+# binary (every main package, plus perfbench), or be allowlisted with a
+# reason in internal/reachcheck/allowlist.txt. It only builds and inspects
+# binaries; nothing it builds is run.
+reach:
+	$(GO) run ./internal/reachcheck
 
 build:
 	$(GO) build ./...

@@ -133,8 +133,8 @@ var (
 )
 
 // CompareAvailability runs the yearly Monte-Carlo across configurations
-// with a shared trace seed.
-var CompareAvailability = availability.CompareConfigs
+// with a shared trace seed, stopping early if ctx is cancelled.
+var CompareAvailability = availability.CompareConfigsCtx
 
 // Technique constructors (see Tables 4-6 of the paper).
 type (

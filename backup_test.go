@@ -65,7 +65,7 @@ func TestPublicOutageTools(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPredictor: %v", err)
 	}
-	if pred.ExpectedRemaining(0) <= 0 {
+	if pred.RemainingQuantile(0, 0.5) <= 0 {
 		t.Error("predictor remaining")
 	}
 }

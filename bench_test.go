@@ -156,7 +156,7 @@ func BenchmarkBatteryDrain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var s battery.State
-		for !s.Depleted() {
+		for s.Remaining() > 0 {
 			s.Drain(pack, 3*units.Kilowatt, time.Minute)
 		}
 	}
@@ -407,7 +407,7 @@ func BenchmarkBestForConfig(b *testing.B) {
 	}
 }
 
-// benchProcessEval measures EvaluateProcess at a given draw count —
+// benchProcessEval measures EvaluateProcessCtx at a given draw count —
 // the process-level batch fold (draw expansion + one EvaluateBatchCtx +
 // per-draw aggregation), cold scenario cache each iteration.
 func benchProcessEval(b *testing.B, draws int) {
@@ -426,7 +426,7 @@ func benchProcessEval(b *testing.B, draws int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		core.ResetScenarioCache()
-		pr, err := fw.EvaluateProcess(cfg, technique.Sleep{}, w, p)
+		pr, err := fw.EvaluateProcessCtx(context.Background(), cfg, technique.Sleep{}, w, p)
 		if err != nil {
 			b.Fatal(err)
 		}

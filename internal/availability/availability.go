@@ -209,13 +209,6 @@ func nines(avail float64) float64 {
 	return n
 }
 
-// CompareConfigs runs the planner across a set of configurations with a
-// shared trace seed, returning summaries in input order — the operator's
-// decision table.
-func CompareConfigs(fw *core.Framework, w workload.Spec, configs []cost.Backup, years int, seed int64) ([]Summary, error) {
-	return CompareConfigsCtx(context.Background(), fw, w, configs, years, seed)
-}
-
 // CompareConfigsCtx fans the per-configuration Monte-Carlos out through
 // the sweep engine. All configurations share the same base seed, so they
 // see identical outage traces (the paper's controlled comparison) and the

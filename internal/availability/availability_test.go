@@ -1,6 +1,7 @@
 package availability
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -60,7 +61,7 @@ func TestOrderingAcrossConfigs(t *testing.T) {
 	configs := []cost.Backup{
 		cost.MaxPerf(peak), cost.LargeEUPS(peak), cost.NoDG(peak), cost.MinCost(peak),
 	}
-	sums, err := CompareConfigs(fw, workload.Specjbb(), configs, 15, 7)
+	sums, err := CompareConfigsCtx(context.Background(), fw, workload.Specjbb(), configs, 15, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

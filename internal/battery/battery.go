@@ -175,21 +175,8 @@ type State struct {
 // Remaining returns the unconsumed fraction of the pack.
 func (s *State) Remaining() float64 { return 1 - s.used }
 
-// Depleted reports whether the pack is exhausted.
-func (s *State) Depleted() bool { return s.used >= 1-1e-12 }
-
 // Recharge resets the pack to full (utility restored).
 func (s *State) Recharge() { s.used = 0 }
-
-// TimeToEmpty returns how long the pack can sustain load from its current
-// state.
-func (s *State) TimeToEmpty(p Pack, load units.Watts) time.Duration {
-	if s.Depleted() {
-		return 0
-	}
-	full := p.RuntimeAt(load)
-	return time.Duration(float64(full) * s.Remaining())
-}
 
 // Drain consumes capacity for sustaining load over dt. It returns the time
 // actually sustained (== dt unless the pack empties first, in which case

@@ -135,22 +135,19 @@ func TestDrainExact(t *testing.T) {
 		t.Fatalf("remaining = %v, want 0.5", s.Remaining())
 	}
 	// Remaining half at 25% load -> 30 more minutes.
-	if got := s.TimeToEmpty(p, 1*units.Kilowatt); !units.AlmostEqual(got.Minutes(), 30, 1e-6) {
-		t.Fatalf("time to empty = %v, want 30m", got)
+	if got := s.Remaining() * p.RuntimeAt(1*units.Kilowatt).Minutes(); !units.AlmostEqual(got, 30, 1e-6) {
+		t.Fatalf("time to empty = %vm, want 30m", got)
 	}
 	// Drain past empty truncates.
 	sustained := s.Drain(p, 1*units.Kilowatt, time.Hour)
 	if !units.AlmostEqual(sustained.Minutes(), 30, 1e-6) {
 		t.Fatalf("sustained = %v, want 30m", sustained)
 	}
-	if !s.Depleted() {
+	if s.Remaining() != 0 {
 		t.Fatal("pack should be depleted")
 	}
-	if s.TimeToEmpty(p, units.Kilowatt) != 0 {
-		t.Fatal("depleted pack should have zero time to empty")
-	}
 	s.Recharge()
-	if s.Depleted() || s.Remaining() != 1 {
+	if s.Remaining() != 1 {
 		t.Fatal("recharge failed")
 	}
 }
@@ -172,7 +169,7 @@ func TestDrainOverload(t *testing.T) {
 	if got := s.Drain(p, 8*units.Kilowatt, time.Minute); got != 0 {
 		t.Errorf("overload drain sustained %v, want 0", got)
 	}
-	if !s.Depleted() {
+	if s.Remaining() != 0 {
 		t.Error("overload should deplete immediately")
 	}
 }
@@ -187,7 +184,7 @@ func TestDrainPiecewiseConsistency(t *testing.T) {
 		want := p.RuntimeAt(load)
 		var s State
 		var total time.Duration
-		for !s.Depleted() {
+		for s.Remaining() > 0 {
 			chunk := time.Duration(1+rng.Intn(300)) * time.Second
 			total += s.Drain(p, load, chunk)
 		}

@@ -27,22 +27,9 @@ func ExampleState_Drain() {
 	var s battery.State
 	s.Drain(pack, 4*units.Kilowatt, 5*time.Minute)
 	fmt.Printf("remaining after burst: %.0f%%\n", s.Remaining()*100)
-	fmt.Println("holds at 1 KW for:", s.TimeToEmpty(pack, units.Kilowatt).Round(time.Minute))
+	holds := time.Duration(s.Remaining() * float64(pack.RuntimeAt(units.Kilowatt)))
+	fmt.Println("holds at 1 KW for:", holds.Round(time.Minute))
 	// Output:
 	// remaining after burst: 50%
 	// holds at 1 KW for: 30m0s
-}
-
-// Composing cells for a power rating yields energy for free — the Ragone
-// observation behind the paper's FreeRunTime.
-func ExampleCompose() {
-	bank, err := battery.Compose(battery.VRLABlock(), 192, 8*units.Kilowatt, time.Second)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("%dS%dP bank, free runtime ~%v\n",
-		bank.Series, bank.Parallel, bank.FreeRuntime().Round(time.Minute))
-	// Output:
-	// 16S2P bank, free runtime ~15m0s
 }

@@ -1,7 +1,6 @@
 package battery
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -29,19 +28,6 @@ func LeadAcidWear() WearModel {
 // LiIonWear is typical LFP-class aging (the §7 longer-lifetime argument).
 func LiIonWear() WearModel {
 	return WearModel{CalendarLifeYears: 10, CyclesAtFullDoD: 3000, WoehlerExponent: 1.1}
-}
-
-// Validate checks the model.
-func (w WearModel) Validate() error {
-	switch {
-	case w.CalendarLifeYears <= 0:
-		return fmt.Errorf("battery: non-positive calendar life")
-	case w.CyclesAtFullDoD <= 0:
-		return fmt.Errorf("battery: non-positive cycle rating")
-	case w.WoehlerExponent < 1:
-		return fmt.Errorf("battery: Wöhler exponent %v < 1", w.WoehlerExponent)
-	}
-	return nil
 }
 
 // CyclesAt returns the cycles to end-of-life at the given depth of

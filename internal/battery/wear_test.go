@@ -7,27 +7,6 @@ import (
 	"backuppower/internal/units"
 )
 
-func TestWearModelsValid(t *testing.T) {
-	if err := LeadAcidWear().Validate(); err != nil {
-		t.Errorf("lead-acid wear invalid: %v", err)
-	}
-	if err := LiIonWear().Validate(); err != nil {
-		t.Errorf("li-ion wear invalid: %v", err)
-	}
-	mutate := []func(*WearModel){
-		func(w *WearModel) { w.CalendarLifeYears = 0 },
-		func(w *WearModel) { w.CyclesAtFullDoD = 0 },
-		func(w *WearModel) { w.WoehlerExponent = 0.5 },
-	}
-	for i, m := range mutate {
-		w := LeadAcidWear()
-		m(&w)
-		if w.Validate() == nil {
-			t.Errorf("mutation %d should fail", i)
-		}
-	}
-}
-
 func TestCyclesAtShape(t *testing.T) {
 	w := LeadAcidWear()
 	if got := w.CyclesAt(1); got != 500 {

@@ -110,63 +110,3 @@ func PerfUnderBudget(cfg server.Config, w workload.Spec, budget units.Watts) (fl
 	}
 	return w.PerfAtSpeed(s.Speed), s, true
 }
-
-// Floor returns the lowest per-server active power any setting reaches —
-// the boundary between "throttle harder" and "must stop executing".
-func Floor(cfg server.Config, util float64) units.Watts {
-	f := Frontier(cfg, util)
-	return f[len(f)-1].Power
-}
-
-// Governor is a feedback power-cap controller: it walks the Pareto frontier
-// one step at a time based on measured power, mimicking firmware capping
-// loops. It never oscillates more than one step per observation and honors
-// a guard band below the budget.
-type Governor struct {
-	frontier []Setting
-	budget   units.Watts
-	guard    float64 // fraction of budget to leave as headroom
-	idx      int     // current frontier index (0 = fastest)
-}
-
-// NewGovernor builds a governor for the server/utilization with a budget
-// and a guard band (e.g. 0.03 keeps 3% headroom).
-func NewGovernor(cfg server.Config, util float64, budget units.Watts, guard float64) (*Governor, error) {
-	if budget <= 0 {
-		return nil, fmt.Errorf("capping: non-positive budget %v", budget)
-	}
-	if guard < 0 || guard >= 1 {
-		return nil, fmt.Errorf("capping: guard %v out of [0,1)", guard)
-	}
-	f := Frontier(cfg, util)
-	if f[len(f)-1].Power > budget {
-		return nil, fmt.Errorf("capping: budget %v below throttling floor %v", budget, f[len(f)-1].Power)
-	}
-	g := &Governor{frontier: f, budget: budget, guard: guard}
-	// Start at the deepest safe setting; observations will relax upward.
-	g.idx = len(f) - 1
-	return g, nil
-}
-
-// Setting returns the current operating point.
-func (g *Governor) Setting() Setting { return g.frontier[g.idx] }
-
-// Target is the effective cap after the guard band.
-func (g *Governor) Target() units.Watts {
-	return units.Watts(float64(g.budget) * (1 - g.guard))
-}
-
-// Observe feeds a measured per-server power and returns the (possibly
-// updated) setting: step down when over target, step up when the next
-// faster setting would still fit.
-func (g *Governor) Observe(measured units.Watts) Setting {
-	target := g.Target()
-	switch {
-	case measured > target && g.idx < len(g.frontier)-1:
-		g.idx++
-	case g.idx > 0 && g.frontier[g.idx-1].Power <= target:
-		// Relax one step only if the model says the faster point fits.
-		g.idx--
-	}
-	return g.frontier[g.idx]
-}

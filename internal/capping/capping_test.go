@@ -11,6 +11,13 @@ import (
 
 func cfg() server.Config { return server.DefaultConfig() }
 
+// floor is the lowest per-server active power any setting reaches: the
+// frontier's deepest point.
+func floor(c server.Config, util float64) units.Watts {
+	f := Frontier(c, util)
+	return f[len(f)-1].Power
+}
+
 func TestSpaceComplete(t *testing.T) {
 	c := cfg()
 	space := Space(c, 0.9)
@@ -46,7 +53,7 @@ func TestFrontierPareto(t *testing.T) {
 
 func TestBestRespectsBudget(t *testing.T) {
 	c := cfg()
-	fl := Floor(c, 0.9)
+	fl := floor(c, 0.9)
 	peak := c.ActivePower(0.9, c.PStates[0], 1)
 	for budget := fl; budget <= peak; budget += 5 {
 		s, ok := Best(c, 0.9, budget)
@@ -66,7 +73,7 @@ func TestBestRespectsBudget(t *testing.T) {
 func TestBestMonotoneInBudget(t *testing.T) {
 	c := cfg()
 	f := func(b1, b2 uint8) bool {
-		lo := Floor(c, 0.9)
+		lo := floor(c, 0.9)
 		bud1 := lo + units.Watts(b1)
 		bud2 := lo + units.Watts(b2)
 		if bud1 > bud2 {
@@ -102,7 +109,7 @@ func TestPerfUnderBudget(t *testing.T) {
 
 func TestFloorAboveIdle(t *testing.T) {
 	c := cfg()
-	fl := Floor(c, 0.95)
+	fl := floor(c, 0.95)
 	if fl <= c.IdleW {
 		t.Errorf("floor %v should exceed idle %v", fl, c.IdleW)
 	}
@@ -110,62 +117,7 @@ func TestFloorAboveIdle(t *testing.T) {
 		t.Errorf("floor %v should undercut peak", fl)
 	}
 	// Lower utilization lowers the floor.
-	if Floor(c, 0.3) >= fl {
+	if floor(c, 0.3) >= fl {
 		t.Error("floor should drop with utilization")
-	}
-}
-
-func TestGovernorLifecycle(t *testing.T) {
-	c := cfg()
-	g, err := NewGovernor(c, 0.9, 150, 0.03)
-	if err != nil {
-		t.Fatalf("NewGovernor: %v", err)
-	}
-	// Starts deep (safe).
-	start := g.Setting()
-	if start.Power > g.Target() {
-		t.Errorf("start setting %v over target", start)
-	}
-	// Feeding model-accurate measurements relaxes it to the best fit.
-	var s Setting
-	for i := 0; i < 2*len(Space(c, 0.9)); i++ {
-		s = g.Observe(g.Setting().Power)
-	}
-	best, _ := Best(c, 0.9, g.Target())
-	if s.Speed != best.Speed {
-		t.Errorf("governor settled at %v (speed %v), Best says %v", s, s.Speed, best)
-	}
-	// A sudden overshoot steps it down exactly one notch.
-	before := g.idx
-	g.Observe(units.Watts(999))
-	if g.idx != before+1 {
-		t.Errorf("overshoot should step down one: %d -> %d", before, g.idx)
-	}
-}
-
-func TestGovernorErrors(t *testing.T) {
-	c := cfg()
-	if _, err := NewGovernor(c, 0.9, 0, 0.03); err == nil {
-		t.Error("zero budget should fail")
-	}
-	if _, err := NewGovernor(c, 0.9, 150, 1.0); err == nil {
-		t.Error("guard 1.0 should fail")
-	}
-	if _, err := NewGovernor(c, 0.9, 50, 0.03); err == nil {
-		t.Error("budget below floor should fail")
-	}
-}
-
-func TestGovernorNeverExceedsBudgetInModel(t *testing.T) {
-	c := cfg()
-	g, err := NewGovernor(c, 0.95, 140, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		s := g.Observe(g.Setting().Power)
-		if s.Power > 140 {
-			t.Fatalf("setting %v exceeds budget", s)
-		}
 	}
 }

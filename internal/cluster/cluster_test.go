@@ -364,7 +364,7 @@ func TestTracesRecorded(t *testing.T) {
 	if r.PerfTrace == nil || r.PowerTrace == nil {
 		t.Fatal("traces missing")
 	}
-	if r.PowerTrace.Peak(0, time.Hour) <= 0 {
+	if r.PowerTrace.Integrate(0, time.Hour) <= 0 {
 		t.Error("power trace empty")
 	}
 	if got := float64(r.PeakBackupDraw); got <= 0 {

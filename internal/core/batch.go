@@ -8,7 +8,6 @@ import (
 	"backuppower/internal/cost"
 	"backuppower/internal/sweep"
 	"backuppower/internal/technique"
-	"backuppower/internal/units"
 	"backuppower/internal/workload"
 )
 
@@ -131,21 +130,15 @@ type BestPoint struct {
 // outage axis, returning per point exactly what BestForConfigCtx would.
 // The candidate set is identical; each candidate is evaluated over the
 // whole axis in one batch (amortizing plan construction and the segment
-// walk), and the per-outage fold compares candidates in enumeration order
-// with the same dominance rule, so ties resolve as in the scalar race.
+// walk), and the per-outage fold picks the maximum under the same total
+// order (better), so it names the scalar race's winner.
 func (f *Framework) BestForConfigAxisCtx(ctx context.Context, b cost.Backup, w workload.Spec, outages []time.Duration) ([]BestPoint, error) {
 	for _, d := range outages {
 		if err := f.validateCall(d); err != nil {
 			return nil, err
 		}
 	}
-	candidates := append([]variant{
-		{"Baseline", technique.Baseline{}},
-	}, f.variants()...)
-	if b.UPS.Provisioned() {
-		candidates = append(candidates,
-			variant{"CappedThrottling", technique.CappedThrottling{Budget: b.UPS.PowerCapacity}})
-	}
+	candidates := f.bestCandidates(b)
 	type candAxis struct {
 		res []cluster.Result
 		ok  []bool
@@ -179,25 +172,16 @@ func (f *Framework) BestForConfigAxisCtx(ctx context.Context, b cost.Backup, w w
 		return nil, err
 	}
 
-	better := func(a, b cluster.Result) bool {
-		if a.Survived != b.Survived {
-			return a.Survived
-		}
-		if !units.AlmostEqual(a.Perf, b.Perf, 1e-6) {
-			return a.Perf > b.Perf
-		}
-		return a.Downtime < b.Downtime
-	}
 	out := make([]BestPoint, len(outages))
 	for i := range outages {
-		have := false
+		best := -1
 		for c, r := range results {
 			if !r.ok[i] {
 				continue
 			}
-			if !have || better(r.res[i], out[i].Result) {
+			if best < 0 || better(r.res[i], c, out[i].Result, best) {
 				out[i] = BestPoint{Result: r.res[i], Tech: candidates[c].tech}
-				have = true
+				best = c
 			}
 		}
 	}

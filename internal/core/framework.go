@@ -505,6 +505,46 @@ func FoldSummaries(points []VariantPoint) []TechniqueSummary {
 	return out
 }
 
+// bestCandidates is the Figure 5 race's candidate set behind backup b, in
+// canonical order: the plain baseline, every technique variant, and, when
+// a UPS is provisioned, budget-driven capping — the power move an
+// underprovisioned UPS (DG-SmallPUPS, SmallP-LargeEUPS) needs to keep
+// serving under its cap (the capping controller picks the fastest fitting
+// P/T state).
+func (f *Framework) bestCandidates(b cost.Backup) []variant {
+	candidates := append([]variant{
+		{"Baseline", technique.Baseline{}},
+	}, f.variants()...)
+	if b.UPS.Provisioned() {
+		candidates = append(candidates,
+			variant{"CappedThrottling", technique.CappedThrottling{Budget: b.UPS.PowerCapacity}})
+	}
+	return candidates
+}
+
+// better is the Figure 5 selection rule shared by the scalar and batch
+// races: does candidate a, at position ia of bestCandidates, beat
+// candidate b at position ib? Survival dominates, then higher performance
+// compared on a 1e-6 grid, then lower downtime, then the earlier
+// candidate. It is a strict total order, so the winner does not depend
+// on the order candidates are compared in.
+func better(a cluster.Result, ia int, b cluster.Result, ib int) bool {
+	if a.Survived != b.Survived {
+		return a.Survived
+	}
+	if pa, pb := math.Round(a.Perf/perfGrid), math.Round(b.Perf/perfGrid); pa != pb {
+		return pa > pb
+	}
+	if a.Downtime != b.Downtime {
+		return a.Downtime < b.Downtime
+	}
+	return ia < ib
+}
+
+// perfGrid is the resolution at which the race compares performance:
+// differences below it are float noise, not a better technique.
+const perfGrid = 1e-6
+
 // BestForConfig picks the technique (across all variants, plus the plain
 // baseline) that performs best behind a FIXED backup configuration — the
 // Figure 5 selection rule: "for each backup configuration, we choose the
@@ -516,23 +556,14 @@ func (f *Framework) BestForConfig(b cost.Backup, w workload.Spec, outage time.Du
 }
 
 // BestForConfigCtx is BestForConfig with the candidate race fanned out
-// through the sweep engine. Candidates are compared in enumeration order
-// after the parallel evaluation, so ties resolve exactly as in a serial
-// run. The error is non-nil only on context cancellation or invalid input.
+// through the sweep engine. The winner is the maximum under better, a
+// total order, so it is the same as a serial run's. The error is non-nil
+// only on context cancellation or invalid input.
 func (f *Framework) BestForConfigCtx(ctx context.Context, b cost.Backup, w workload.Spec, outage time.Duration) (cluster.Result, technique.Technique, error) {
 	if err := f.validateCall(outage); err != nil {
 		return cluster.Result{}, nil, err
 	}
-	candidates := append([]variant{
-		{"Baseline", technique.Baseline{}},
-	}, f.variants()...)
-	// Budget-driven capping: the power move an underprovisioned UPS
-	// (DG-SmallPUPS, SmallP-LargeEUPS) needs to keep serving under its
-	// cap — the capping controller picks the fastest fitting P/T state.
-	if b.UPS.Provisioned() {
-		candidates = append(candidates,
-			variant{"CappedThrottling", technique.CappedThrottling{Budget: b.UPS.PowerCapacity}})
-	}
+	candidates := f.bestCandidates(b)
 	type candResult struct {
 		res cluster.Result
 		ok  bool
@@ -551,22 +582,13 @@ func (f *Framework) BestForConfigCtx(ctx context.Context, b cost.Backup, w workl
 	}
 	var bestRes cluster.Result
 	var bestTech technique.Technique
-	have := false
-	better := func(a, b cluster.Result) bool {
-		if a.Survived != b.Survived {
-			return a.Survived
-		}
-		if !units.AlmostEqual(a.Perf, b.Perf, 1e-6) {
-			return a.Perf > b.Perf
-		}
-		return a.Downtime < b.Downtime
-	}
+	best := -1
 	for i, r := range results {
 		if !r.ok {
 			continue
 		}
-		if !have || better(r.res, bestRes) {
-			bestRes, bestTech, have = r.res, candidates[i].tech, true
+		if best < 0 || better(r.res, i, bestRes, best) {
+			bestRes, bestTech, best = r.res, candidates[i].tech, i
 		}
 	}
 	return bestRes, bestTech, nil

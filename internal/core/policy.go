@@ -182,6 +182,3 @@ func (p *AdaptivePolicy) Reset(completed time.Duration) {
 	}
 	p.mode = ModeFullService
 }
-
-// Mode returns the current escalation rung.
-func (p *AdaptivePolicy) Mode() Mode { return p.mode }

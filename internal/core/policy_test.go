@@ -113,9 +113,8 @@ func TestPolicyTinyBatterySleepsQuickly(t *testing.T) {
 
 func TestPolicyNeverDeEscalates(t *testing.T) {
 	p := policy(t, 10*time.Minute)
-	p.Decide(30*time.Minute, 0.2) // forces escalation
-	escalated := p.Mode()
-	d := p.Decide(31*time.Minute, 0.95) // battery "recovers" (hypothetical)
+	escalated := p.Decide(30*time.Minute, 0.2).Mode // forces escalation
+	d := p.Decide(31*time.Minute, 0.95)             // battery "recovers" (hypothetical)
 	if d.Mode < escalated {
 		t.Errorf("policy relaxed from %v to %v", escalated, d.Mode)
 	}
@@ -123,15 +122,15 @@ func TestPolicyNeverDeEscalates(t *testing.T) {
 
 func TestPolicyResetLearns(t *testing.T) {
 	p := policy(t, 30*time.Minute)
-	before := p.Predictor.ExpectedRemaining(0)
+	before := p.Predictor.Posterior().Mean()
 	for i := 0; i < 200; i++ {
 		p.Reset(4 * time.Hour) // a site with dreadful utility power
 	}
-	after := p.Predictor.ExpectedRemaining(0)
+	after := p.Predictor.Posterior().Mean()
 	if after <= before {
 		t.Errorf("predictor should learn longer outages: %v vs %v", after, before)
 	}
-	if p.Mode() != ModeFullService {
+	if p.mode != ModeFullService {
 		t.Error("reset should restore full service mode")
 	}
 }

@@ -63,17 +63,13 @@ type ProcessResult struct {
 	Cost float64
 }
 
-// EvaluateProcess evaluates a backup configuration and technique against
-// a stochastic outage process: it expands every Monte-Carlo draw into
-// its yearly event trace, folds the PR-6 outage-axis batch kernel
+// EvaluateProcessCtx evaluates a backup configuration and technique
+// against a stochastic outage process: it expands every Monte-Carlo draw
+// into its yearly event trace, folds the outage-axis batch kernel
 // (EvaluateBatch) over all drawn durations in one call, and aggregates
 // per draw. Determinism matches the scalar path: the result is a pure
-// function of the inputs, independent of cache state or call order.
-func (f *Framework) EvaluateProcess(b cost.Backup, tech technique.Technique, w workload.Spec, p outage.Process) (ProcessResult, error) {
-	return f.EvaluateProcessCtx(context.Background(), b, tech, w, p)
-}
-
-// EvaluateProcessCtx is EvaluateProcess honoring ctx cancellation.
+// function of the inputs, independent of cache state or call order. It
+// stops early when ctx is cancelled.
 func (f *Framework) EvaluateProcessCtx(ctx context.Context, b cost.Backup, tech technique.Technique, w workload.Spec, p outage.Process) (ProcessResult, error) {
 	if err := p.Validate(); err != nil {
 		return ProcessResult{}, &InputError{Field: "process", Reason: err.Error()}

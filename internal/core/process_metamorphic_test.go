@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,11 +71,11 @@ func TestMetamorphicAvailabilityAntitoneInDurationMean(t *testing.T) {
 
 		cfg, w := antitoneEnv(f, rng)
 		tech := technique.Baseline{}
-		base, err := f.EvaluateProcess(cfg, tech, w, p)
+		base, err := f.EvaluateProcessCtx(context.Background(), cfg, tech, w, p)
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}
-		more, err := f.EvaluateProcess(cfg, tech, w, grown)
+		more, err := f.EvaluateProcessCtx(context.Background(), cfg, tech, w, grown)
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}
@@ -103,11 +104,11 @@ func TestMetamorphicAvailabilityAntitoneInArrivalRate(t *testing.T) {
 
 		cfg, w := antitoneEnv(f, rng)
 		tech := technique.Baseline{}
-		base, err := f.EvaluateProcess(cfg, tech, w, p)
+		base, err := f.EvaluateProcessCtx(context.Background(), cfg, tech, w, p)
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}
-		more, err := f.EvaluateProcess(cfg, tech, w, faster)
+		more, err := f.EvaluateProcessCtx(context.Background(), cfg, tech, w, faster)
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}
@@ -146,7 +147,7 @@ func TestMetamorphicDegenerateMatchesScalar(t *testing.T) {
 			Arrival:  outage.Dist{Kind: outage.KindFixed, Mean: 5000 * time.Hour},
 			Duration: outage.Dist{Kind: outage.KindFixed, Mean: dur},
 		}
-		pr, err := f.EvaluateProcess(cfg, tech, w, p)
+		pr, err := f.EvaluateProcessCtx(context.Background(), cfg, tech, w, p)
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}
@@ -190,7 +191,7 @@ func TestMetamorphicPercentilesOrdered(t *testing.T) {
 		p := randProcess(rng, all, all)
 		p.Draws = 1 + rng.Intn(16)
 		cfg, w := antitoneEnv(f, rng)
-		pr, err := f.EvaluateProcess(cfg, technique.Baseline{}, w, p)
+		pr, err := f.EvaluateProcessCtx(context.Background(), cfg, technique.Baseline{}, w, p)
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}

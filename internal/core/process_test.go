@@ -28,7 +28,7 @@ func TestEvaluateProcessInvalid(t *testing.T) {
 	f := New(8)
 	p := testProcess()
 	p.Draws = 0
-	_, err := f.EvaluateProcess(cost.NoDG(f.Env.PeakPower()), technique.Baseline{}, workload.Specjbb(), p)
+	_, err := f.EvaluateProcessCtx(context.Background(), cost.NoDG(f.Env.PeakPower()), technique.Baseline{}, workload.Specjbb(), p)
 	var ie *InputError
 	if !errors.As(err, &ie) {
 		t.Fatalf("want *InputError, got %T %v", err, err)
@@ -49,7 +49,7 @@ func TestEvaluateProcessQuietYear(t *testing.T) {
 		Arrival:  outage.Dist{Kind: outage.KindFixed, Mean: 2 * outage.Year},
 		Duration: outage.Dist{Kind: outage.KindFixed, Mean: time.Hour},
 	}
-	pr, err := f.EvaluateProcess(cost.NoDG(peak), technique.Baseline{}, workload.Specjbb(), p)
+	pr, err := f.EvaluateProcessCtx(context.Background(), cost.NoDG(peak), technique.Baseline{}, workload.Specjbb(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestEvaluateProcessQuietYear(t *testing.T) {
 func TestEvaluateProcessDeterministic(t *testing.T) {
 	p := testProcess()
 	run := func(f *Framework) ProcessResult {
-		pr, err := f.EvaluateProcess(cost.NoDG(f.Env.PeakPower()), technique.Sleep{}, workload.Memcached(), p)
+		pr, err := f.EvaluateProcessCtx(context.Background(), cost.NoDG(f.Env.PeakPower()), technique.Sleep{}, workload.Memcached(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestEvaluateProcessAggregates(t *testing.T) {
 	p := testProcess()
 	p.Draws = 4
 
-	pr, err := f.EvaluateProcess(cfg, tech, w, p)
+	pr, err := f.EvaluateProcessCtx(context.Background(), cfg, tech, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}

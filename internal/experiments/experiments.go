@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"backuppower/internal/core"
 	"backuppower/internal/report"
@@ -81,16 +80,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment ids, sorted.
-func IDs() []string {
-	var out []string
-	for _, e := range Registry() {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RunAll regenerates the given experiments through the sweep engine and

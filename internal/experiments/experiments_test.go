@@ -42,9 +42,6 @@ func TestByID(t *testing.T) {
 	if _, ok := ByID("nope"); ok {
 		t.Error("unknown id should miss")
 	}
-	if ids := IDs(); len(ids) != len(Registry()) {
-		t.Errorf("IDs() length %d", len(ids))
-	}
 }
 
 // Static experiments run fast; check each renders plausible content.

@@ -1,7 +1,6 @@
 package genset
 
 import (
-	"fmt"
 	"time"
 
 	"backuppower/internal/units"
@@ -35,21 +34,6 @@ func DefaultFuel() FuelModel {
 	}
 }
 
-// Validate checks the model.
-func (f FuelModel) Validate() error {
-	switch {
-	case f.FullLoadLPerKWh <= 0:
-		return fmt.Errorf("genset: non-positive consumption")
-	case f.NoLoadFraction < 0 || f.NoLoadFraction >= 1:
-		return fmt.Errorf("genset: no-load fraction %v out of [0,1)", f.NoLoadFraction)
-	case f.DieselPricePerL < 0:
-		return fmt.Errorf("genset: negative fuel price")
-	case f.MaintenanceFracPerYear < 0:
-		return fmt.Errorf("genset: negative maintenance fraction")
-	}
-	return nil
-}
-
 // Consumption returns liters burned running the generator at `load` for
 // `dur`: the no-load burn of the installed capacity plus the load-
 // proportional term (Willans line).
@@ -63,11 +47,6 @@ func (f FuelModel) Consumption(c Config, load units.Watts, dur time.Duration) fl
 	base := f.NoLoadFraction * f.FullLoadLPerKWh * c.PowerCapacity.KW()
 	slope := (1 - f.NoLoadFraction) * f.FullLoadLPerKWh * load.KW()
 	return (base + slope) * dur.Hours()
-}
-
-// TankLiters sizes the fuel tank for the config's FuelRuntime at full load.
-func (f FuelModel) TankLiters(c Config) float64 {
-	return f.Consumption(c, c.PowerCapacity, c.FuelRuntime)
 }
 
 // OutageCost prices one outage ride: fuel burned carrying `load` for the

@@ -7,28 +7,6 @@ import (
 	"backuppower/internal/units"
 )
 
-func TestDefaultFuelValid(t *testing.T) {
-	if err := DefaultFuel().Validate(); err != nil {
-		t.Fatalf("default invalid: %v", err)
-	}
-}
-
-func TestFuelValidateErrors(t *testing.T) {
-	mutate := []func(*FuelModel){
-		func(f *FuelModel) { f.FullLoadLPerKWh = 0 },
-		func(f *FuelModel) { f.NoLoadFraction = 1 },
-		func(f *FuelModel) { f.DieselPricePerL = -1 },
-		func(f *FuelModel) { f.MaintenanceFracPerYear = -1 },
-	}
-	for i, m := range mutate {
-		f := DefaultFuel()
-		m(&f)
-		if f.Validate() == nil {
-			t.Errorf("mutation %d should fail", i)
-		}
-	}
-}
-
 func TestConsumptionWillansLine(t *testing.T) {
 	f := DefaultFuel()
 	c := New(units.Megawatt)
@@ -59,7 +37,7 @@ func TestConsumptionWillansLine(t *testing.T) {
 func TestTankSizedForFuelRuntime(t *testing.T) {
 	f := DefaultFuel()
 	c := New(units.Megawatt)
-	tank := f.TankLiters(c)
+	tank := f.Consumption(c, c.PowerCapacity, c.FuelRuntime)
 	// 48 h at 220 L/h = 10560 L.
 	if !units.AlmostEqual(tank, 220*48, 1e-9) {
 		t.Errorf("tank = %v L", tank)

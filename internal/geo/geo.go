@@ -40,11 +40,6 @@ func (s Site) Validate() error {
 	return nil
 }
 
-// Headroom is the spare capacity fraction.
-func (s Site) Headroom() float64 {
-	return (s.Capacity - s.Load) / s.Capacity
-}
-
 // Fleet is a set of geo-replicated sites serving one global workload.
 type Fleet struct {
 	Sites []Site

@@ -21,8 +21,8 @@ func TestUniformValid(t *testing.T) {
 		t.Fatalf("sites = %d", len(f.Sites))
 	}
 	for _, s := range f.Sites {
-		if !units.AlmostEqual(s.Headroom(), 0.3, 1e-9) {
-			t.Errorf("%s headroom = %v", s.Name, s.Headroom())
+		if h := (s.Capacity - s.Load) / s.Capacity; !units.AlmostEqual(h, 0.3, 1e-9) {
+			t.Errorf("%s headroom = %v", s.Name, h)
 		}
 	}
 	if _, err := Uniform(1, 0.5, 0.3, 1); err == nil {

@@ -1,10 +1,6 @@
 package grid
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-
 	"backuppower/internal/cluster"
 	"backuppower/internal/cost"
 )
@@ -156,17 +152,4 @@ func NewRowDTO(op string, row RowResult) RowDTO {
 		}
 	}
 	return d
-}
-
-// WriteNDJSON encodes rows to w, one JSON object per line — the exact
-// bytes /v1/sweep streams and cmd/gridrun prints, shared so the two
-// surfaces cannot diverge.
-func WriteNDJSON(w io.Writer, op string, rows []RowResult) error {
-	enc := json.NewEncoder(w)
-	for _, row := range rows {
-		if err := enc.Encode(NewRowDTO(op, row)); err != nil {
-			return fmt.Errorf("encode row %d: %w", row.Point.Index, err)
-		}
-	}
-	return nil
 }

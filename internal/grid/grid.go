@@ -85,7 +85,7 @@ type Spec struct {
 
 	// OutageProcesses is the stochastic outage-process axis (ROADMAP
 	// 4(a)): each entry is a seeded Monte-Carlo process whose drawn
-	// yearly traces evaluate through core.EvaluateProcess instead of a
+	// yearly traces evaluate through core.EvaluateProcessCtx instead of a
 	// single point duration. Evaluate-only; mutually exclusive with
 	// Outages.
 	OutageProcesses []ProcessDTO `json:"outage_processes,omitempty"`

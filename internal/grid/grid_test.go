@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -334,8 +335,11 @@ func runNDJSON(t *testing.T, spec Spec, width, shardSize int) string {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteNDJSON(&buf, plan.Op, rows); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for _, row := range rows {
+		if err := enc.Encode(NewRowDTO(plan.Op, row)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.String()
 }
@@ -519,8 +523,11 @@ func TestRowDTOShapes(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteNDJSON(&buf, OpSize, rows); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for _, row := range rows {
+		if err := enc.Encode(NewRowDTO(OpSize, row)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != len(rows) {

@@ -376,6 +376,7 @@ func consultStore(store resultstore.Store, op string, pts []Point, merged []RowR
 					continue
 				}
 			}
+			store.Refuse(st.keys[i])
 		}
 		coldPts = append(coldPts, *p)
 		coldPos = append(coldPos, i)

@@ -62,10 +62,10 @@ func TestV1StoreRowsRecomputedAndOverwritten(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s width %d: rerun over a v1 store diverged from the store-less bytes", name, width)
 			}
-			// The store found every key (a store-level hit); the runner
-			// refused every v1 payload, so every row was evaluated and
-			// written back once.
-			if st := disk.Stats(); st.HitsRows != n || st.RecomputesRows != 0 || st.Puts != 2*n {
+			// The store found every key, but the runner refused every v1
+			// payload, so every row counts as a recompute, not a hit, and
+			// was evaluated and written back once.
+			if st := disk.Stats(); st.HitsRows != 0 || st.RecomputesRows != n || st.Puts != 2*n {
 				t.Fatalf("%s width %d: v1 rows not recomputed and re-put: %+v for %d rows", name, width, st, n)
 			}
 			ns := resultstore.NSRow

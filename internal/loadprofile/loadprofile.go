@@ -6,7 +6,6 @@
 package loadprofile
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -18,18 +17,6 @@ import (
 type Profile interface {
 	// At returns the relative load in (0, 1] at the given offset.
 	At(t time.Duration) float64
-}
-
-// Flat is a constant profile (the paper's implicit assumption: all
-// experiments run at steady near-peak load).
-type Flat struct{ Level float64 }
-
-// At implements Profile.
-func (f Flat) At(time.Duration) float64 {
-	if f.Level <= 0 || f.Level > 1 {
-		return 1
-	}
-	return f.Level
 }
 
 // Diurnal is the classic interactive-service daily wave with a weekly dip:
@@ -45,21 +32,6 @@ type Diurnal struct {
 // 100% peak at 14:00, 85% weekend load.
 func Typical() Diurnal {
 	return Diurnal{Trough: 0.45, Peak: 1.0, PeakHour: 14, WeekendFactor: 0.85}
-}
-
-// Validate checks the shape.
-func (d Diurnal) Validate() error {
-	switch {
-	case d.Trough <= 0 || d.Trough > d.Peak:
-		return fmt.Errorf("loadprofile: trough %v out of (0, peak]", d.Trough)
-	case d.Peak > 1:
-		return fmt.Errorf("loadprofile: peak %v > 1", d.Peak)
-	case d.PeakHour < 0 || d.PeakHour >= 24:
-		return fmt.Errorf("loadprofile: peak hour %v out of [0,24)", d.PeakHour)
-	case d.WeekendFactor <= 0 || d.WeekendFactor > 1:
-		return fmt.Errorf("loadprofile: weekend factor %v out of (0,1]", d.WeekendFactor)
-	}
-	return nil
 }
 
 // At implements Profile.
@@ -103,28 +75,4 @@ func maxOf(p Profile) float64 {
 		return 1
 	}
 	return max
-}
-
-// Stats summarizes a profile over a week.
-type Stats struct {
-	Min, Mean, Max float64
-}
-
-// Summarize samples the profile at 15-minute resolution for a week.
-func Summarize(p Profile) Stats {
-	s := Stats{Min: math.Inf(1)}
-	n := 0
-	for t := time.Duration(0); t < 7*24*time.Hour; t += 15 * time.Minute {
-		v := p.At(t)
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-		s.Mean += v
-		n++
-	}
-	s.Mean /= float64(n)
-	return s
 }

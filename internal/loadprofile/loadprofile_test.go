@@ -5,25 +5,6 @@ import (
 	"time"
 )
 
-func TestFlat(t *testing.T) {
-	if got := (Flat{Level: 0.7}).At(time.Hour); got != 0.7 {
-		t.Errorf("flat = %v", got)
-	}
-	// Degenerate levels default to 1.
-	if got := (Flat{}).At(0); got != 1 {
-		t.Errorf("zero flat = %v", got)
-	}
-	if got := (Flat{Level: 2}).At(0); got != 1 {
-		t.Errorf("over flat = %v", got)
-	}
-}
-
-func TestTypicalValid(t *testing.T) {
-	if err := Typical().Validate(); err != nil {
-		t.Fatalf("typical invalid: %v", err)
-	}
-}
-
 func TestDiurnalShape(t *testing.T) {
 	d := Typical()
 	// Peak at 14:00 on a weekday (day 0).
@@ -53,29 +34,6 @@ func TestDiurnalShape(t *testing.T) {
 	}
 }
 
-func TestDiurnalValidateErrors(t *testing.T) {
-	bad := Typical()
-	bad.Trough = 0
-	if bad.Validate() == nil {
-		t.Error("zero trough should fail")
-	}
-	bad = Typical()
-	bad.Peak = 1.5
-	if bad.Validate() == nil {
-		t.Error("peak > 1 should fail")
-	}
-	bad = Typical()
-	bad.PeakHour = 24
-	if bad.Validate() == nil {
-		t.Error("peak hour 24 should fail")
-	}
-	bad = Typical()
-	bad.WeekendFactor = 0
-	if bad.Validate() == nil {
-		t.Error("zero weekend factor should fail")
-	}
-}
-
 func TestScaleNormalized(t *testing.T) {
 	d := Typical()
 	// At the weekly peak, scaling returns the base itself.
@@ -91,19 +49,5 @@ func TestScaleNormalized(t *testing.T) {
 	// Nil profile is identity.
 	if got := Scale(nil, 0, base); got != base {
 		t.Errorf("nil scale = %v", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize(Typical())
-	if s.Min >= s.Mean || s.Mean >= s.Max {
-		t.Fatalf("stats ordering broken: %+v", s)
-	}
-	if s.Max > 1 || s.Min <= 0 {
-		t.Errorf("stats out of range: %+v", s)
-	}
-	fl := Summarize(Flat{Level: 0.6})
-	if fl.Min != 0.6 || fl.Max != 0.6 {
-		t.Errorf("flat stats: %+v", fl)
 	}
 }

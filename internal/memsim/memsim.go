@@ -52,12 +52,6 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// MutableState is the portion of the footprint that must be preserved to
-// avoid loss (everything that is not clean read-only data).
-func (p Profile) MutableState() units.Bytes {
-	return units.Bytes(float64(p.Footprint) * (1 - p.ReadOnlyFraction))
-}
-
 // DirtyAfter returns how much state is dirty after running for d starting
 // from a fully-flushed (clean) image, with saturation at the working set:
 // dirty(t) = WS * (1 - exp(-rate*t/WS)). For WS=0 it returns 0.

@@ -42,19 +42,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestMutableState(t *testing.T) {
-	p := jbbLike()
-	want := units.Bytes(float64(p.Footprint) * 0.7)
-	if got := p.MutableState(); got != want {
-		t.Errorf("mutable = %v, want %v", got, want)
-	}
-	ro := p
-	ro.ReadOnlyFraction = 1
-	if got := ro.MutableState(); got != 0 {
-		t.Errorf("fully read-only mutable = %v", got)
-	}
-}
-
 func TestDirtyAfterSaturates(t *testing.T) {
 	p := jbbLike()
 	short := p.DirtyAfter(time.Second)

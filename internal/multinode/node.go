@@ -248,28 +248,27 @@ func (n *Node) migrateTo(cmd command) reply {
 func (n *Node) handleData(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	var logicalTotal, wireTotal int64
+	var wireTotal int64
 	for {
-		logical, payload, err := readFrame(r)
+		_, payload, err := readFrame(r)
 		if err != nil {
 			return // stream broken: migration failed, no state transfer
 		}
 		if payload == 0 {
 			break // terminator
 		}
-		logicalTotal = logical // final round's logical size is the residual; total tracked below
 		wireTotal += payload
-		_ = logicalTotal
 	}
-	// Ack cut-over, then adopt the state. The logical amount adopted is
-	// communicated out-of-band by the coordinator (it knows the plan); the
-	// agent just tracks wire traffic.
-	if _, err := conn.Write([]byte{1}); err != nil {
-		return
-	}
+	// Count the received bytes before the ack, so a source that sees the
+	// cut-over always finds them counted here. The logical amount adopted
+	// is communicated out-of-band by the coordinator (it knows the plan);
+	// the agent just tracks wire traffic.
 	n.mu.Lock()
 	n.wireBytes += wireTotal
 	n.mu.Unlock()
+	// A failed ack write needs no handling here: the source reads no ack
+	// and fails the migration itself.
+	_, _ = conn.Write([]byte{1})
 }
 
 // AdoptState credits logical state to the node (coordinator-driven after a

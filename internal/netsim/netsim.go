@@ -52,17 +52,6 @@ func (l Link) Goodput() units.BytesPerSecond {
 	return l.LineRate * units.BytesPerSecond(l.Efficiency)
 }
 
-// TransferTime returns the wall time to move size bytes over the link when
-// `sharers` transfers contend for it (fair sharing). sharers < 1 is treated
-// as 1.
-func (l Link) TransferTime(size units.Bytes, sharers int) time.Duration {
-	if sharers < 1 {
-		sharers = 1
-	}
-	bw := l.Goodput() / units.BytesPerSecond(sharers)
-	return l.SetupLatency + bw.TimeFor(size)
-}
-
 // SustainedRate returns the per-transfer rate under contention.
 func (l Link) SustainedRate(sharers int) units.BytesPerSecond {
 	if sharers < 1 {

@@ -17,25 +17,6 @@ func TestDefaultGigabit(t *testing.T) {
 	}
 }
 
-func TestTransferTime(t *testing.T) {
-	l := DefaultGigabit()
-	// 1.125 GB at 112.5 MB/s = 10 s + setup.
-	d := l.TransferTime(units.Bytes(1.125e9), 1)
-	want := 10.0 + l.SetupLatency.Seconds()
-	if !units.AlmostEqual(d.Seconds(), want, 1e-6) {
-		t.Errorf("transfer = %v, want %vs", d, want)
-	}
-	// Two sharers double the time (minus fixed setup).
-	d2 := l.TransferTime(units.Bytes(1.125e9), 2)
-	if !units.AlmostEqual(d2.Seconds()-l.SetupLatency.Seconds(), 20, 1e-6) {
-		t.Errorf("contended transfer = %v", d2)
-	}
-	// sharers < 1 behaves like 1.
-	if l.TransferTime(units.Gibibyte, 0) != l.TransferTime(units.Gibibyte, 1) {
-		t.Error("sharers=0 should clamp to 1")
-	}
-}
-
 func TestSustainedRate(t *testing.T) {
 	l := DefaultGigabit()
 	if got := l.SustainedRate(3); !units.AlmostEqual(float64(got), 112.5e6/3, 1e-9) {

@@ -24,12 +24,12 @@ func ExampleDistribution_CDF() {
 // The predictor's key property: a fresh outage will probably end in
 // minutes, but one that has already lasted half an hour probably will not —
 // the signal an adaptive policy escalates on.
-func ExampleDistribution_ExpectedRemaining() {
+func ExampleDistribution_RemainingQuantile() {
 	d := outage.DurationDistribution()
-	fresh := d.ExpectedRemaining(0)
-	old := d.ExpectedRemaining(30 * time.Minute)
-	fmt.Println("longer after 30min:", old > 2*fresh/1)
-	fmt.Println("median fresh remaining:", d.RemainingQuantile(0, 0.5).Round(time.Second))
+	fresh := d.RemainingQuantile(0, 0.5)
+	old := d.RemainingQuantile(30*time.Minute, 0.5)
+	fmt.Println("longer after 30min:", old > 2*fresh)
+	fmt.Println("median fresh remaining:", fresh.Round(time.Second))
 	// Output:
 	// longer after 30min: true
 	// median fresh remaining: 3m49s

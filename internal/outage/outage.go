@@ -134,42 +134,12 @@ func (d Distribution) Quantile(q float64) time.Duration {
 	return d.Buckets[len(d.Buckets)-1].Hi
 }
 
-// ExpectedRemaining returns E[duration - t | duration > t]: the expected
-// additional outage time given it has already lasted t. This is the §7
-// predictor's core quantity — note it GROWS with elapsed time (the
-// distribution is heavy-tailed), which is why an adaptive policy escalates
-// from throttling to sleep/hibernate as an outage drags on.
-func (d Distribution) ExpectedRemaining(t time.Duration) time.Duration {
-	surv := d.Survival(t)
-	if surv <= 1e-12 {
-		return 0
-	}
-	// E[max(D-t,0)] = integral over buckets of (x - t)+ weighted density.
-	var num float64
-	for _, b := range d.Buckets {
-		if b.Hi <= t {
-			continue
-		}
-		lo := b.Lo
-		if lo < t {
-			lo = t
-		}
-		// Uniform density within the bucket: prob / width.
-		density := b.Prob / float64(b.Hi-b.Lo)
-		width := float64(b.Hi - lo)
-		// Mean of (x - t) over [lo, hi) = (lo+hi)/2 - t.
-		mid := float64(lo+b.Hi)/2 - float64(t)
-		num += density * width * mid
-	}
-	return time.Duration(num / surv)
-}
-
 // RemainingQuantile returns the q-quantile of the remaining duration given
 // the outage has already lasted t: the r such that
-// P(D <= t+r | D > t) = q. Unlike ExpectedRemaining it is not dominated by
-// the heavy tail, which makes it the right optimism knob for an online
-// policy (the median remaining of a fresh outage is ~4 minutes even though
-// the mean is ~45).
+// P(D <= t+r | D > t) = q. Unlike the mean remaining time it is not
+// dominated by the heavy tail, which makes it the right optimism knob for
+// an online policy (the median remaining of a fresh outage is ~4 minutes
+// even though the mean is ~45).
 func (d Distribution) RemainingQuantile(t time.Duration, q float64) time.Duration {
 	surv := d.Survival(t)
 	if surv <= 1e-12 {
@@ -181,15 +151,6 @@ func (d Distribution) RemainingQuantile(t time.Duration, q float64) time.Duratio
 		return 0
 	}
 	return at - t
-}
-
-// ProbEndsWithin returns P(duration <= t+dt | duration > t).
-func (d Distribution) ProbEndsWithin(t, dt time.Duration) float64 {
-	surv := d.Survival(t)
-	if surv <= 1e-12 {
-		return 1
-	}
-	return (d.CDF(t+dt) - d.CDF(t)) / surv
 }
 
 // Sample draws a duration from the distribution.

@@ -95,40 +95,6 @@ func TestMeanPlausible(t *testing.T) {
 	}
 }
 
-func TestExpectedRemainingGrows(t *testing.T) {
-	// Heavy tail: the longer it has lasted, the longer it will last.
-	d := DurationDistribution()
-	prev := time.Duration(0)
-	for _, elapsed := range []time.Duration{0, time.Minute, 5 * time.Minute, 30 * time.Minute, 2 * time.Hour} {
-		rem := d.ExpectedRemaining(elapsed)
-		if rem < prev {
-			t.Fatalf("expected remaining shrank at %v: %v < %v", elapsed, rem, prev)
-		}
-		prev = rem
-	}
-	// Past the distribution's support, remaining collapses to 0.
-	if got := d.ExpectedRemaining(9 * time.Hour); got != 0 {
-		t.Errorf("remaining at 9h = %v", got)
-	}
-}
-
-func TestProbEndsWithin(t *testing.T) {
-	d := DurationDistribution()
-	// Fresh outage: over half end within 5 minutes.
-	if got := d.ProbEndsWithin(0, 5*time.Minute); !units.AlmostEqual(got, 0.58, 1e-9) {
-		t.Errorf("P(end<=5m) = %v", got)
-	}
-	// An outage 30 min in is much less likely to end in the next 5 min.
-	fresh := d.ProbEndsWithin(0, 5*time.Minute)
-	old := d.ProbEndsWithin(30*time.Minute, 5*time.Minute)
-	if old >= fresh {
-		t.Errorf("conditional end prob should drop: %v vs %v", old, fresh)
-	}
-	if got := d.ProbEndsWithin(9*time.Hour, time.Minute); got != 1 {
-		t.Errorf("past support = %v", got)
-	}
-}
-
 func TestSampleWithinSupport(t *testing.T) {
 	d := DurationDistribution()
 	rng := rand.New(rand.NewSource(1))

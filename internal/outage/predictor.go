@@ -5,14 +5,13 @@ import (
 	"time"
 )
 
-// Predictor is the Section 7 online outage-duration predictor: a Markov
-// chain whose states are the duration buckets of the historical
-// distribution. As an outage evolves, the predictor conditions on the
-// elapsed time and yields the probability of reaching each further bucket
-// and the expected remaining duration — the signals an adaptive policy
-// uses to decide when to stop throttling and start saving state.
+// Predictor is the Section 7 online outage-duration predictor over the
+// duration buckets of the historical distribution. As an outage evolves,
+// the predictor conditions on the elapsed time and yields quantiles of the
+// remaining duration — the signal an adaptive policy uses to decide when
+// to stop throttling and start saving state.
 //
-// The chain can also learn online: Observe folds completed outages into
+// The predictor can also learn online: Observe folds completed outages into
 // the bucket counts, so a datacenter's own utility history gradually
 // replaces the national prior.
 type Predictor struct {
@@ -60,68 +59,7 @@ func (p *Predictor) Posterior() Distribution {
 	return out
 }
 
-// TransitionMatrix returns the Markov chain over buckets: M[i][j] is the
-// probability that an outage that has survived to the END of bucket i's
-// range ends within bucket j (j > i), normalized over the surviving mass.
-// Row i of the matrix is what the paper's "online Markov chain based
-// transition matrix of different duration" refers to.
-func (p *Predictor) TransitionMatrix() [][]float64 {
-	d := p.Posterior()
-	n := len(d.Buckets)
-	m := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		m[i] = make([]float64, n)
-		surv := d.Survival(d.Buckets[i].Lo)
-		if surv <= 1e-12 {
-			m[i][i] = 1
-			continue
-		}
-		for j := i; j < n; j++ {
-			v := d.Buckets[j].Prob / surv
-			if v > 1 {
-				v = 1 // guard the floating-point division
-			}
-			m[i][j] = v
-		}
-	}
-	return m
-}
-
 // RemainingQuantile conditions on elapsed outage time.
 func (p *Predictor) RemainingQuantile(elapsed time.Duration, q float64) time.Duration {
 	return p.Posterior().RemainingQuantile(elapsed, q)
-}
-
-// ExpectedRemaining conditions on elapsed outage time.
-func (p *Predictor) ExpectedRemaining(elapsed time.Duration) time.Duration {
-	return p.Posterior().ExpectedRemaining(elapsed)
-}
-
-// ProbEndsWithin conditions on elapsed outage time.
-func (p *Predictor) ProbEndsWithin(elapsed, window time.Duration) float64 {
-	return p.Posterior().ProbEndsWithin(elapsed, window)
-}
-
-// PredictBucket returns the index of the bucket the outage most likely
-// ends in, conditioned on the elapsed time.
-func (p *Predictor) PredictBucket(elapsed time.Duration) int {
-	d := p.Posterior()
-	best, bestP := len(d.Buckets)-1, -1.0
-	surv := d.Survival(elapsed)
-	for i, b := range d.Buckets {
-		if b.Hi <= elapsed {
-			continue
-		}
-		mass := b.Prob
-		if b.Lo < elapsed {
-			mass *= float64(b.Hi-elapsed) / float64(b.Hi-b.Lo)
-		}
-		if surv > 0 {
-			mass /= surv
-		}
-		if mass > bestP {
-			best, bestP = i, mass
-		}
-	}
-	return best
 }

@@ -42,9 +42,9 @@ func TestObserveShiftsPosterior(t *testing.T) {
 	if err := post.Validate(); err != nil {
 		t.Errorf("posterior invalid: %v", err)
 	}
-	// Expected remaining at time 0 should now be hours.
-	if rem := p.ExpectedRemaining(0); rem < time.Hour {
-		t.Errorf("expected remaining = %v", rem)
+	// The expected duration of a fresh outage should now be hours.
+	if rem := post.Mean(); rem < time.Hour {
+		t.Errorf("expected duration = %v", rem)
 	}
 }
 
@@ -58,63 +58,14 @@ func TestObserveTailCap(t *testing.T) {
 	}
 }
 
-func TestTransitionMatrix(t *testing.T) {
-	p, _ := NewPredictor(DurationDistribution(), 100)
-	m := p.TransitionMatrix()
-	n := len(DurationDistribution().Buckets)
-	if len(m) != n {
-		t.Fatalf("matrix size %d", len(m))
-	}
-	for i, row := range m {
-		sum := 0.0
-		for j, v := range row {
-			if v < 0 || v > 1 {
-				t.Fatalf("m[%d][%d] = %v", i, j, v)
-			}
-			if j < i && v != 0 {
-				t.Fatalf("backwards transition m[%d][%d] = %v", i, j, v)
-			}
-			sum += v
-		}
-		if !units.AlmostEqual(sum, 1, 1e-9) {
-			t.Errorf("row %d sums to %v", i, sum)
-		}
-	}
-	// Row 0 restates the unconditional distribution.
-	hist := DurationDistribution()
-	for j, b := range hist.Buckets {
-		if !units.AlmostEqual(m[0][j], b.Prob, 1e-9) {
-			t.Errorf("m[0][%d] = %v, want %v", j, m[0][j], b.Prob)
-		}
-	}
-}
-
-func TestPredictBucket(t *testing.T) {
-	p, _ := NewPredictor(DurationDistribution(), 100)
-	// Fresh outage: the <1 min bucket is the most likely (31%).
-	if got := p.PredictBucket(0); got != 0 {
-		t.Errorf("PredictBucket(0) = %d", got)
-	}
-	// 10 minutes in: buckets 0-1 are impossible; prediction advances.
-	got := p.PredictBucket(10 * time.Minute)
-	if got < 2 {
-		t.Errorf("PredictBucket(10m) = %d, want >= 2", got)
-	}
-	// 5 hours in: only the tail remains.
-	if got := p.PredictBucket(5 * time.Hour); got != 5 {
-		t.Errorf("PredictBucket(5h) = %d", got)
-	}
-}
-
 func TestPredictorConditionalsMatchDistribution(t *testing.T) {
 	p, _ := NewPredictor(DurationDistribution(), 50)
 	d := DurationDistribution()
 	for _, elapsed := range []time.Duration{0, 2 * time.Minute, time.Hour} {
-		if got, want := p.ProbEndsWithin(elapsed, 5*time.Minute), d.ProbEndsWithin(elapsed, 5*time.Minute); !units.AlmostEqual(got, want, 1e-9) {
-			t.Errorf("ProbEndsWithin(%v) = %v, want %v", elapsed, got, want)
-		}
-		if got, want := p.ExpectedRemaining(elapsed), d.ExpectedRemaining(elapsed); !units.AlmostEqual(got.Seconds(), want.Seconds(), 1e-9) {
-			t.Errorf("ExpectedRemaining(%v) = %v, want %v", elapsed, got, want)
+		for _, q := range []float64{0.5, 0.9} {
+			if got, want := p.RemainingQuantile(elapsed, q), d.RemainingQuantile(elapsed, q); !units.AlmostEqual(got.Seconds(), want.Seconds(), 1e-6) {
+				t.Errorf("RemainingQuantile(%v, %v) = %v, want %v", elapsed, q, got, want)
+			}
 		}
 	}
 }

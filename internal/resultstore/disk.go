@@ -162,14 +162,15 @@ func (d *Disk) loadBlock(b *blockFile) bool {
 	off := int64(len(blockMagic))
 	rest := data[len(blockMagic):]
 	for len(rest) > 0 {
-		k, payload, n, ok := parseRecord(rest)
+		k, _, n, ok := parseRecord(rest)
 		if !ok {
 			d.corruptRecords.Add(1)
 			break
 		}
-		_ = payload
-		d.index[k] = blockRef{b: b, off: off, n: n}
-		b.keys++
+		if liveNS(k) {
+			d.index[k] = blockRef{b: b, off: off, n: n}
+			b.keys++
+		}
 		off += int64(n)
 		rest = rest[n:]
 	}
@@ -188,11 +189,14 @@ func (d *Disk) replayWAL() error {
 		if !ok {
 			break
 		}
+		off += n
+		if !liveNS(k) {
+			continue
+		}
 		cp := make([]byte, len(payload))
 		copy(cp, payload)
 		d.mem[k] = cp
 		d.walReplayed.Add(1)
-		off += n
 	}
 	if torn := len(data) - off; torn > 0 {
 		d.walTornBytes.Add(int64(torn))
@@ -234,6 +238,11 @@ func parseRecord(data []byte) (k Key, payload []byte, n int, ok bool) {
 	copy(k[:], data[1:17])
 	return k, data[21 : 21+plen], n, true
 }
+
+// liveNS reports whether k is under a namespace the store still serves.
+// Records under a retired one (the scenario namespace 'S') are left out
+// of the index at Open and dropped by the next compaction.
+func liveNS(k Key) bool { return k[0] == NSRow || k[0] == NSProcessRow }
 
 func (d *Disk) hit(k Key) {
 	switch k[0] {
@@ -277,6 +286,18 @@ func (d *Disk) Get(k Key) ([]byte, bool) {
 	}
 	d.hit(k)
 	return payload, true
+}
+
+// Refuse implements Store.
+func (d *Disk) Refuse(k Key) {
+	switch k[0] {
+	case NSRow, NSProcessRow:
+		d.hitsRows.Add(^uint64(0))
+		d.missRows.Add(1)
+	default:
+		d.hitsOther.Add(^uint64(0))
+		d.missOther.Add(1)
+	}
 }
 
 // read fetches and revalidates one block record. The block handle stays
@@ -448,10 +469,13 @@ func (d *Disk) compact(snapshot []*blockFile, mergedSeq uint64) {
 				d.corruptRecords.Add(1)
 				break
 			}
+			rest = rest[n:]
+			if !liveNS(k) {
+				continue
+			}
 			cp := make([]byte, len(payload))
 			copy(cp, payload)
 			merged[k] = cp
-			rest = rest[n:]
 		}
 	}
 	keys := make([]Key, 0, len(merged))

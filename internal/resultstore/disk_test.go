@@ -351,6 +351,63 @@ func TestDiskAutoCompaction(t *testing.T) {
 	}
 }
 
+// A store written before the scenario namespace 'S' was retired holds
+// dead 'S' records. Reopened, it counts only live keys and never serves
+// them; a compaction drops them from disk.
+func TestDiskDropsRetiredNamespace(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir)
+	const live = 4
+	for g := 0; g < 2; g++ {
+		for i := 0; i < live/2; i++ {
+			d.Put(testKey(NSRow, g*live+i), testPayload(i))
+		}
+		if g == 0 {
+			d.Put(testKey('S', 0), testPayload(0))
+		}
+		if err := d.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Put(testKey('S', 1), testPayload(1)) // left in the WAL
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := mustOpen(t, dir)
+	defer d2.Close()
+	if st := d2.Stats(); st.Keys != live {
+		t.Fatalf("reopened store counts %d keys, want the %d live ones", st.Keys, live)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := d2.Get(testKey('S', i)); ok {
+			t.Fatalf("retired record %d served", i)
+		}
+	}
+	d2.Compact()
+	if st := d2.Stats(); st.Blocks != 1 || st.Keys != live {
+		t.Fatalf("post-compaction stats: %+v", st)
+	}
+	blocks, err := filepath.Glob(filepath.Join(dir, blockPrefix+"*"+blockSuffix))
+	if err != nil || len(blocks) != 1 {
+		t.Fatalf("block files %v (err %v), want one", blocks, err)
+	}
+	data, err := os.ReadFile(blocks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rest := data[len(blockMagic):]; len(rest) > 0; {
+		k, _, n, ok := parseRecord(rest)
+		if !ok {
+			t.Fatal("compacted block has a malformed record")
+		}
+		if k[0] == 'S' {
+			t.Fatal("compacted block still holds the retired 'S' record")
+		}
+		rest = rest[n:]
+	}
+}
+
 func TestDiskScan(t *testing.T) {
 	dir := t.TempDir()
 	d := mustOpen(t, dir)

@@ -29,7 +29,8 @@ import (
 // Namespace bytes, the first byte of every Key. Point and process rows
 // share one WAL and block sequence; the namespace keeps their key spaces
 // apart. Records under any other byte (a store directory written before
-// the scenario namespace 'S' was retired holds some) are never read.
+// the scenario namespace 'S' was retired holds some) are never read: Open
+// leaves them out of its index and compaction drops them.
 const (
 	NSRow byte = 'R'
 	// NSProcessRow keys stochastic-process sweep rows. Process rows get
@@ -76,6 +77,11 @@ type Store interface {
 	// treated as immutable.
 	Get(k Key) (payload []byte, ok bool)
 
+	// Refuse recounts the Get that just returned k's payload as a
+	// recompute: the caller could not serve the payload (an older row
+	// version, a coordinate mismatch) and evaluates the row instead.
+	Refuse(k Key)
+
 	// Put stores payload under k, overwriting any previous value. The
 	// write is buffered in the WAL + memtable until the next Seal.
 	Put(k Key, payload []byte)
@@ -99,7 +105,8 @@ type Store interface {
 }
 
 // Stats is a snapshot of a store's counters. Hits count Gets served;
-// Recomputes count Gets that missed at an evaluation site — each one is
+// Recomputes count Gets that missed or were refused at an evaluation
+// site, so the two add up to the lookups made. Each recompute is
 // (at most) one simulation the store could not save. HitsRows and
 // RecomputesRows count the row namespaces ('R' and 'P'). HitsScenarios
 // and RecomputesScenarios counted the retired scenario namespace and read

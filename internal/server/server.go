@@ -1,8 +1,7 @@
 // Package server models the compute nodes of the datacenter: their power
 // draw as a function of utilization and active power state (DVFS P-states
-// and clock-throttling T-states), and the inactive states used by the
-// save-state techniques (S3 sleep with DRAM in self-refresh, hibernate,
-// off, crashed).
+// and clock-throttling T-states), and the S3 sleep draw the save-state
+// techniques rely on (DRAM in self-refresh).
 //
 // The model is calibrated to the paper's testbed (Section 6): dual-socket
 // 12-core 3.4 GHz Xeons with 64 GB DRAM, idle ~80 W, measured peak ~250 W,
@@ -16,46 +15,6 @@ import (
 
 	"backuppower/internal/units"
 )
-
-// PowerState is the operational state of a server.
-type PowerState int
-
-// Power states.
-const (
-	Active     PowerState = iota // running, possibly throttled
-	Sleep                        // S3 suspend-to-RAM, DRAM self-refresh
-	Hibernated                   // S4, state on disk, fully powered down
-	Off                          // powered down, volatile state lost
-	Crashed                      // lost power abruptly; volatile state lost
-)
-
-// String names the state.
-func (s PowerState) String() string {
-	switch s {
-	case Active:
-		return "active"
-	case Sleep:
-		return "sleep"
-	case Hibernated:
-		return "hibernated"
-	case Off:
-		return "off"
-	case Crashed:
-		return "crashed"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
-// Retained reports whether volatile memory state survives this power state.
-func (s PowerState) Retained() bool {
-	switch s {
-	case Active, Sleep:
-		return true
-	default:
-		return false
-	}
-}
 
 // PState is one DVFS operating point: a relative frequency and the dynamic
 // power it costs relative to the top state. Dynamic power scales roughly
@@ -168,33 +127,8 @@ func (c Config) ActivePower(util float64, p PState, duty float64) units.Watts {
 	return c.IdleW + units.Watts(dyn)
 }
 
-// StatePower returns the draw in a non-active state.
-func (c Config) StatePower(s PowerState) units.Watts {
-	switch s {
-	case Sleep:
-		return c.SleepPower()
-	case Hibernated, Off, Crashed:
-		return 0
-	default:
-		return c.IdleW
-	}
-}
-
 // DeepestPState returns the lowest-frequency P-state.
 func (c Config) DeepestPState() PState { return c.PStates[len(c.PStates)-1] }
-
-// PStateByFreq returns the highest-frequency P-state at or below the target
-// frequency ratio (the state a governor would pick to cap performance).
-func (c Config) PStateByFreq(target float64) PState {
-	best := c.PStates[0]
-	for _, p := range c.PStates {
-		if p.FreqRatio <= target+1e-9 {
-			return p
-		}
-		best = p
-	}
-	return best
-}
 
 // TStateDuty returns the duty cycle of T-state index i in [0,TStates-1]:
 // T0 = 1.0 down to 1/TStates.

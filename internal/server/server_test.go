@@ -33,30 +33,6 @@ func TestDefaultConfigCalibration(t *testing.T) {
 	}
 }
 
-func TestPowerStateStrings(t *testing.T) {
-	want := map[PowerState]string{
-		Active: "active", Sleep: "sleep", Hibernated: "hibernated",
-		Off: "off", Crashed: "crashed", PowerState(42): "state(42)",
-	}
-	for s, w := range want {
-		if got := s.String(); got != w {
-			t.Errorf("%d.String() = %q want %q", int(s), got, w)
-		}
-	}
-}
-
-func TestRetained(t *testing.T) {
-	if !Active.Retained() || !Sleep.Retained() {
-		t.Error("active/sleep retain state")
-	}
-	if Hibernated.Retained() {
-		t.Error("hibernated volatile state is not in DRAM (it is on disk)")
-	}
-	if Off.Retained() || Crashed.Retained() {
-		t.Error("off/crashed lose state")
-	}
-}
-
 func TestMakePStatesShape(t *testing.T) {
 	ps := MakePStates(7, 0.4)
 	if ps[0].FreqRatio != 1.0 || ps[0].DynPowerMul != 1.0 {
@@ -117,42 +93,6 @@ func TestActivePowerBounds(t *testing.T) {
 				t.Errorf("power %v out of [idle,peak] at P%d T%d", w, p.Index, ti)
 			}
 		}
-	}
-}
-
-func TestStatePower(t *testing.T) {
-	c := DefaultConfig()
-	if got := c.StatePower(Hibernated); got != 0 {
-		t.Errorf("hibernated power = %v", got)
-	}
-	if got := c.StatePower(Off); got != 0 {
-		t.Errorf("off power = %v", got)
-	}
-	if got := c.StatePower(Crashed); got != 0 {
-		t.Errorf("crashed power = %v", got)
-	}
-	if got := c.StatePower(Sleep); got != c.SleepPower() {
-		t.Errorf("sleep power = %v", got)
-	}
-	if got := c.StatePower(Active); got != c.IdleW {
-		t.Errorf("active StatePower fallback = %v", got)
-	}
-}
-
-func TestPStateByFreq(t *testing.T) {
-	c := DefaultConfig()
-	if got := c.PStateByFreq(1.0); got.Index != 0 {
-		t.Errorf("PStateByFreq(1.0) = P%d", got.Index)
-	}
-	if got := c.PStateByFreq(0.5); got.FreqRatio > 0.5+1e-9 {
-		t.Errorf("PStateByFreq(0.5) freq = %v", got.FreqRatio)
-	}
-	// Below the deepest state clamps to deepest.
-	if got := c.PStateByFreq(0.1); got.Index != len(c.PStates)-1 {
-		t.Errorf("PStateByFreq(0.1) = P%d", got.Index)
-	}
-	if got := c.DeepestPState(); got.Index != len(c.PStates)-1 {
-		t.Errorf("DeepestPState = P%d", got.Index)
 	}
 }
 

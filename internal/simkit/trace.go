@@ -1,10 +1,10 @@
+// Package simkit records piecewise-constant signals over virtual time: the
+// power and performance traces a scenario walk can emit for timelines.
 package simkit
 
 import (
 	"fmt"
 	"time"
-
-	"backuppower/internal/units"
 )
 
 // Sample is one step of a piecewise-constant signal: the signal holds Value
@@ -63,9 +63,6 @@ func (t *Trace) At(at time.Duration) float64 {
 	return v
 }
 
-// Last returns the most recent value.
-func (t *Trace) Last() float64 { return t.samples[len(t.samples)-1].Value }
-
 // Samples returns a copy of the recorded steps.
 func (t *Trace) Samples() []Sample {
 	out := make([]Sample, len(t.samples))
@@ -106,60 +103,4 @@ func (t *Trace) Mean(from, to time.Duration) float64 {
 		return t.At(from)
 	}
 	return t.Integrate(from, to) / (to - from).Hours()
-}
-
-// Peak returns the maximum value the signal holds anywhere in [from, to].
-func (t *Trace) Peak(from, to time.Duration) float64 {
-	peak := t.At(from)
-	for _, s := range t.samples {
-		if s.At >= to {
-			break
-		}
-		if s.At >= from && s.Value > peak {
-			peak = s.Value
-		}
-	}
-	return peak
-}
-
-// TimeBelow returns the total time within [from, to] during which the
-// signal is strictly below threshold. Used for downtime accounting
-// (performance == 0) and degraded-service accounting.
-func (t *Trace) TimeBelow(from, to time.Duration, threshold float64) time.Duration {
-	if to <= from {
-		return 0
-	}
-	var total time.Duration
-	for i, s := range t.samples {
-		segStart := s.At
-		segEnd := to
-		if i+1 < len(t.samples) {
-			segEnd = t.samples[i+1].At
-		}
-		if segEnd <= from || segStart >= to {
-			continue
-		}
-		if segStart < from {
-			segStart = from
-		}
-		if segEnd > to {
-			segEnd = to
-		}
-		if s.Value < threshold {
-			total += segEnd - segStart
-		}
-	}
-	return total
-}
-
-// EnergyWh interprets the trace as a power signal in watts and returns the
-// energy in watt-hours over [from, to].
-func (t *Trace) EnergyWh(from, to time.Duration) units.WattHours {
-	return units.WattHours(t.Integrate(from, to))
-}
-
-// PeakWatts interprets the trace as a power signal in watts and returns the
-// peak over [from, to].
-func (t *Trace) PeakWatts(from, to time.Duration) units.Watts {
-	return units.Watts(t.Peak(from, to))
 }

@@ -23,8 +23,8 @@ func TestTraceBasics(t *testing.T) {
 	if got := tr.At(25 * time.Minute); got != 50 {
 		t.Errorf("At(25m) = %v", got)
 	}
-	if got := tr.Last(); got != 50 {
-		t.Errorf("Last = %v", got)
+	if got := tr.At(time.Hour); got != 50 {
+		t.Errorf("At(1h) = %v", got)
 	}
 	if tr.Name() != "power" {
 		t.Errorf("Name = %q", tr.Name())
@@ -56,24 +56,6 @@ func TestTraceMeanPeak(t *testing.T) {
 	tr.Set(30*time.Minute, 0.5)
 	if got := tr.Mean(0, time.Hour); !units.AlmostEqual(got, 0.75, 1e-9) {
 		t.Errorf("Mean = %v", got)
-	}
-	if got := tr.Peak(0, time.Hour); got != 1.0 {
-		t.Errorf("Peak = %v", got)
-	}
-	if got := tr.Peak(40*time.Minute, time.Hour); got != 0.5 {
-		t.Errorf("Peak tail = %v", got)
-	}
-}
-
-func TestTraceTimeBelow(t *testing.T) {
-	tr := NewTrace("perf", 1.0)
-	tr.Set(10*time.Minute, 0)
-	tr.Set(25*time.Minute, 1.0)
-	if got := tr.TimeBelow(0, time.Hour, 0.5); got != 15*time.Minute {
-		t.Errorf("TimeBelow = %v, want 15m", got)
-	}
-	if got := tr.TimeBelow(0, 12*time.Minute, 0.5); got != 2*time.Minute {
-		t.Errorf("TimeBelow clipped = %v, want 2m", got)
 	}
 }
 
@@ -107,16 +89,6 @@ func TestTraceBackwardsPanics(t *testing.T) {
 		}
 	}()
 	tr.Set(30*time.Second, 3)
-}
-
-func TestTraceEnergyHelpers(t *testing.T) {
-	tr := NewTrace("p", 4000) // 4 KW
-	if got := tr.EnergyWh(0, 15*time.Minute); !units.AlmostEqual(float64(got), 1000, 1e-9) {
-		t.Errorf("EnergyWh = %v", got)
-	}
-	if got := tr.PeakWatts(0, time.Hour); got != 4000 {
-		t.Errorf("PeakWatts = %v", got)
-	}
 }
 
 // Integral over a split point equals sum of parts (additivity property).

@@ -31,16 +31,6 @@ func DefaultLocal() Disk {
 	}
 }
 
-// DefaultShared is the shared storage server (network-attached; effective
-// rates bounded by the 1 Gbps fabric).
-func DefaultShared() Disk {
-	return Disk{
-		Name:      "shared-store",
-		WriteRate: 110 * units.MiBps,
-		ReadRate:  110 * units.MiBps,
-	}
-}
-
 // Validate checks the device.
 func (d Disk) Validate() error {
 	if d.WriteRate <= 0 || d.ReadRate <= 0 {

@@ -31,9 +31,6 @@ func TestValidate(t *testing.T) {
 	if err := DefaultLocal().Validate(); err != nil {
 		t.Errorf("local invalid: %v", err)
 	}
-	if err := DefaultShared().Validate(); err != nil {
-		t.Errorf("shared invalid: %v", err)
-	}
 	bad := Disk{Name: "bad", WriteRate: 0, ReadRate: 1}
 	if bad.Validate() == nil {
 		t.Error("zero write rate should fail")
@@ -67,7 +64,7 @@ func TestThrottleClamped(t *testing.T) {
 }
 
 func TestReadWriteScaleWithSize(t *testing.T) {
-	d := DefaultShared()
+	d := DefaultLocal()
 	one := d.WriteTime(units.Gibibyte, 1)
 	two := d.WriteTime(2*units.Gibibyte, 1)
 	if !units.AlmostEqual(two.Seconds(), 2*one.Seconds(), 1e-9) {

@@ -123,32 +123,3 @@ feed:
 	}
 	return out, nil
 }
-
-// MapChunked is the streaming counterpart to Map for long grids whose
-// consumers want results before the whole sweep finishes: items are
-// processed in contiguous chunks of the given size, each chunk evaluated in
-// parallel through Map, and emit receives every chunk's results (with the
-// chunk's starting index) as soon as the chunk completes, always in input
-// order. Because chunk boundaries only batch the emission — never the
-// fold — the emitted sequence is identical for any chunk size and any pool
-// width. An emit error, an fn error, or context cancellation stops the
-// remaining chunks; size < 1 means a single chunk covering all items.
-func MapChunked[T, R any](ctx context.Context, items []T, size int, fn func(context.Context, T) (R, error), emit func(start int, results []R) error) error {
-	if size < 1 || size > len(items) {
-		size = len(items)
-	}
-	for start := 0; start < len(items); start += size {
-		end := start + size
-		if end > len(items) {
-			end = len(items)
-		}
-		out, err := Map(ctx, items[start:end], fn)
-		if err != nil {
-			return err
-		}
-		if err := emit(start, out); err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
-}

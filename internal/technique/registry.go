@@ -8,28 +8,6 @@ import (
 	"backuppower/internal/workload"
 )
 
-// Catalog returns the canonical technique instances evaluated in Section 6,
-// in presentation order. Throttling appears at its lightest and deepest
-// DVFS states — the (min,max) bars of Figures 6-9.
-func Catalog(env Env) []Technique {
-	deepest := len(env.Server.PStates) - 1
-	return []Technique{
-		Baseline{},
-		Throttling{PState: 1},
-		Throttling{PState: deepest},
-		Migration{},
-		Migration{Proactive: true},
-		Sleep{},
-		Sleep{LowPower: true},
-		Hibernate{},
-		Hibernate{LowPower: true},
-		Hibernate{Proactive: true},
-		ThrottleThenSave{PState: deepest, Save: SaveSleep},
-		ThrottleThenSave{PState: deepest, Save: SaveHibernate},
-		MigrationThenSleep{},
-	}
-}
-
 // OperationalPhases is one row of the paper's Table 4: what a technique
 // does in each of the four operational phases.
 type OperationalPhases struct {

@@ -177,25 +177,8 @@ func CrashRecovery(env Env, w workload.Spec) (min, max time.Duration) {
 	return base + w.Recovery.RecomputeMin, base + w.Recovery.RecomputeMax
 }
 
-// CrashRecoveryMid returns the midpoint recovery time, used where a scalar
-// is needed.
-func CrashRecoveryMid(env Env, w workload.Spec) time.Duration {
-	lo, hi := CrashRecovery(env, w)
-	return (lo + hi) / 2
-}
-
 // throttledSpeed converts a P-state (+ optional T-state duty) into the
 // effective clock speed seen by the Amdahl performance model.
 func throttledSpeed(p server.PState, duty float64) float64 {
 	return p.FreqRatio * units.Clamp01(duty)
-}
-
-// lowPowerFactor is the normalized save-phase power of the "-L" hybrid
-// variants relative to the unthrottled variants (Table 8 reports 0.5; the
-// deepest DVFS state of the modeled server lands at ~0.55).
-func lowPowerFactor(env Env, w workload.Spec) float64 {
-	deep := env.Server.DeepestPState()
-	full := env.Server.ActivePower(w.Utilization, env.Server.PStates[0], 1)
-	thr := env.Server.ActivePower(w.Utilization, deep, 1)
-	return float64(thr) / float64(full)
 }

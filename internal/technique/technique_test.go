@@ -32,10 +32,32 @@ func TestEnvPowers(t *testing.T) {
 	}
 }
 
+// catalog is the canonical technique instances evaluated in Section 6, in
+// presentation order. Throttling appears at its lightest and deepest
+// DVFS states — the (min,max) bars of Figures 6-9.
+func catalog(env Env) []Technique {
+	deepest := len(env.Server.PStates) - 1
+	return []Technique{
+		Baseline{},
+		Throttling{PState: 1},
+		Throttling{PState: deepest},
+		Migration{},
+		Migration{Proactive: true},
+		Sleep{},
+		Sleep{LowPower: true},
+		Hibernate{},
+		Hibernate{LowPower: true},
+		Hibernate{Proactive: true},
+		ThrottleThenSave{PState: deepest, Save: SaveSleep},
+		ThrottleThenSave{PState: deepest, Save: SaveHibernate},
+		MigrationThenSleep{},
+	}
+}
+
 func TestAllCatalogPlansValid(t *testing.T) {
 	e := env()
 	for _, w := range workload.All() {
-		for _, tech := range Catalog(e) {
+		for _, tech := range catalog(e) {
 			for _, outage := range []time.Duration{30 * time.Second, 5 * time.Minute, 2 * time.Hour} {
 				p := tech.Plan(e, w, outage)
 				if err := p.Validate(); err != nil {
@@ -292,10 +314,6 @@ func TestCrashRecoveryCalibration(t *testing.T) {
 	slo, shi := CrashRecovery(e, workload.SpecCPU())
 	if shi-slo != 2*time.Hour {
 		t.Errorf("speccpu spread = %v", shi-slo)
-	}
-	mid := CrashRecoveryMid(e, workload.SpecCPU())
-	if mid <= slo || mid >= shi {
-		t.Errorf("mid %v out of (%v,%v)", mid, slo, shi)
 	}
 }
 

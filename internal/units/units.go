@@ -74,16 +74,6 @@ func (e WattHours) String() string {
 	}
 }
 
-// AtPower returns how long the energy e lasts when drained at power w.
-// Returns a very large duration for non-positive loads.
-func (e WattHours) AtPower(w Watts) time.Duration {
-	if w <= 0 {
-		return time.Duration(math.MaxInt64)
-	}
-	hours := float64(e) / float64(w)
-	return time.Duration(hours * float64(time.Hour))
-}
-
 // Bytes is a data size.
 type Bytes int64
 
@@ -153,15 +143,6 @@ func (d DollarsPerYear) String() string {
 	default:
 		return fmt.Sprintf("%.2f $/yr", float64(d))
 	}
-}
-
-// Minutes converts a duration to fractional minutes; used pervasively when
-// reporting runtimes the way the paper's tables do.
-func Minutes(d time.Duration) float64 { return d.Minutes() }
-
-// FromMinutes builds a duration from fractional minutes.
-func FromMinutes(m float64) time.Duration {
-	return time.Duration(m * float64(time.Minute))
 }
 
 // Clamp01 clamps x into [0, 1]. Shared by the performance models.

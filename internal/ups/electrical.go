@@ -63,21 +63,6 @@ func DefaultElectrical(d Design) Electrical {
 	return e
 }
 
-// Validate checks the parameters.
-func (e Electrical) Validate() error {
-	switch {
-	case e.InverterEfficiency <= 0 || e.InverterEfficiency > 1:
-		return fmt.Errorf("ups: inverter efficiency %v out of (0,1]", e.InverterEfficiency)
-	case e.RectifierEfficiency <= 0 || e.RectifierEfficiency > 1:
-		return fmt.Errorf("ups: rectifier efficiency %v out of (0,1]", e.RectifierEfficiency)
-	case e.LowLoadPenalty < 0 || e.LowLoadPenalty >= 1:
-		return fmt.Errorf("ups: low-load penalty %v out of [0,1)", e.LowLoadPenalty)
-	case e.StandbyW < 0:
-		return fmt.Errorf("ups: negative standby draw")
-	}
-	return nil
-}
-
 // effAt derates an efficiency for partial load.
 func (e Electrical) effAt(rated float64, loadFrac float64) float64 {
 	loadFrac = units.Clamp01(loadFrac)
@@ -104,20 +89,6 @@ func (e Electrical) NormalLoss(load, capacity units.Watts) units.Watts {
 	default:
 		return e.StandbyW
 	}
-}
-
-// OutageLoss is the conversion loss while SOURCING `load` from the battery
-// (both designs pay the inverter here); callers add it to the battery draw.
-func (e Electrical) OutageLoss(load, capacity units.Watts) units.Watts {
-	if capacity <= 0 || load <= 0 {
-		return 0
-	}
-	frac := float64(load) / float64(capacity)
-	eff := e.effAt(e.InverterEfficiency, frac)
-	if eff <= 0 {
-		return 0
-	}
-	return units.Watts(float64(load) * (1/eff - 1))
 }
 
 // AnnualNormalLossKWh integrates the normal-operation loss over a year at

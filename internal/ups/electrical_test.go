@@ -15,27 +15,6 @@ func TestDesignStrings(t *testing.T) {
 	}
 }
 
-func TestElectricalValidate(t *testing.T) {
-	for _, d := range []Design{Offline, Online} {
-		if err := DefaultElectrical(d).Validate(); err != nil {
-			t.Errorf("%v invalid: %v", d, err)
-		}
-	}
-	mutate := []func(*Electrical){
-		func(e *Electrical) { e.InverterEfficiency = 0 },
-		func(e *Electrical) { e.RectifierEfficiency = 1.5 },
-		func(e *Electrical) { e.LowLoadPenalty = 1 },
-		func(e *Electrical) { e.StandbyW = -1 },
-	}
-	for i, m := range mutate {
-		e := DefaultElectrical(Online)
-		m(&e)
-		if e.Validate() == nil {
-			t.Errorf("mutation %d should fail", i)
-		}
-	}
-}
-
 func TestOfflineBeatsOnlineInNormalOperation(t *testing.T) {
 	// §3's reason datacenters prefer offline: double conversion taxes
 	// every watt of normal operation.
@@ -58,31 +37,12 @@ func TestOfflineBeatsOnlineInNormalOperation(t *testing.T) {
 	}
 }
 
-func TestOutageLossBothDesignsPayInverter(t *testing.T) {
-	off := DefaultElectrical(Offline)
-	on := DefaultElectrical(Online)
-	load, cap := 100*units.Kilowatt, 125*units.Kilowatt
-	lo, ln := off.OutageLoss(load, cap), on.OutageLoss(load, cap)
-	if lo <= 0 || ln <= 0 {
-		t.Fatal("both designs pay conversion during outages")
-	}
-	if !units.AlmostEqual(float64(lo), float64(ln), 1e-9) {
-		t.Errorf("inverter path identical: %v vs %v", lo, ln)
-	}
-	if off.OutageLoss(0, cap) != 0 {
-		t.Error("no load, no loss")
-	}
-	if off.OutageLoss(load, 0) != 0 {
-		t.Error("no capacity, no loss")
-	}
-}
-
 func TestLowLoadPenalty(t *testing.T) {
 	e := DefaultElectrical(Online)
 	cap := units.Watts(100 * units.Kilowatt)
-	// Loss *fraction* grows as load shrinks.
-	heavy := float64(e.OutageLoss(90*units.Kilowatt, cap)) / 90
-	light := float64(e.OutageLoss(10*units.Kilowatt, cap)) / 10
+	// Conversion loss *fraction* (standby aside) grows as load shrinks.
+	heavy := float64(e.NormalLoss(90*units.Kilowatt, cap)-e.StandbyW) / 90
+	light := float64(e.NormalLoss(10*units.Kilowatt, cap)-e.StandbyW) / 10
 	if light <= heavy {
 		t.Errorf("light-load loss fraction %v should exceed heavy %v", light, heavy)
 	}

@@ -152,26 +152,8 @@ type Unit struct {
 	state  battery.State
 }
 
-// NewUnit returns a fully charged unit for the config.
-func NewUnit(c Config) *Unit { return &Unit{Config: c} }
-
 // Remaining returns the unconsumed battery fraction.
 func (u *Unit) Remaining() float64 { return u.state.Remaining() }
-
-// Depleted reports whether the battery is exhausted.
-func (u *Unit) Depleted() bool { return u.state.Depleted() }
-
-// Recharge refills the battery (utility restored).
-func (u *Unit) Recharge() { u.state.Recharge() }
-
-// TimeToEmpty returns how long the unit can sustain load from its current
-// charge. Loads above the power capacity return 0.
-func (u *Unit) TimeToEmpty(load units.Watts) time.Duration {
-	if !u.Config.CanCarry(load) {
-		return 0
-	}
-	return u.state.TimeToEmpty(u.Config.Pack(), load)
-}
 
 // Drain sustains load for up to dt, returning the time actually sustained
 // (shorter if the battery empties). A load above the power capacity is not

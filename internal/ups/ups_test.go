@@ -97,42 +97,37 @@ func TestPlacementString(t *testing.T) {
 
 func TestUnitDrainLifecycle(t *testing.T) {
 	c := NewConfig(4*units.Kilowatt, 10*time.Minute)
-	u := NewUnit(c)
-	if u.Depleted() || u.Remaining() != 1 {
+	u := &Unit{Config: c}
+	if u.Remaining() != 1 {
 		t.Fatal("fresh unit should be full")
 	}
 	// Full load for the full rated runtime.
 	if got := u.Drain(4*units.Kilowatt, 10*time.Minute); !units.AlmostEqual(got.Seconds(), 600, 1e-6) {
 		t.Fatalf("drain = %v", got)
 	}
-	if !u.Depleted() {
+	if u.Remaining() != 0 {
 		t.Fatal("should be depleted after rated runtime")
 	}
-	u.Recharge()
-	if u.Depleted() {
-		t.Fatal("recharge failed")
-	}
-	// Quarter load stretches to 60 min (lead-acid Fig 3 calibration).
-	if got := u.TimeToEmpty(units.Kilowatt); !units.AlmostEqual(got.Minutes(), 60, 1e-6) {
-		t.Fatalf("time to empty at 25%% = %v", got)
+	// Quarter load stretches a full unit to 60 min (lead-acid Fig 3
+	// calibration).
+	u = &Unit{Config: c}
+	if got := u.Drain(units.Kilowatt, 2*time.Hour); !units.AlmostEqual(got.Minutes(), 60, 1e-6) {
+		t.Fatalf("sustained at 25%% = %v", got)
 	}
 }
 
 func TestUnitOverload(t *testing.T) {
-	u := NewUnit(NewConfig(4*units.Kilowatt, 10*time.Minute))
+	u := &Unit{Config: NewConfig(4*units.Kilowatt, 10*time.Minute)}
 	if got := u.Drain(5*units.Kilowatt, time.Minute); got != 0 {
 		t.Errorf("overload drain = %v, want 0", got)
 	}
-	if u.Depleted() {
+	if u.Remaining() != 1 {
 		t.Error("overload must not silently consume charge")
-	}
-	if got := u.TimeToEmpty(5 * units.Kilowatt); got != 0 {
-		t.Errorf("overload time to empty = %v", got)
 	}
 }
 
 func TestUnitZeroLoad(t *testing.T) {
-	u := NewUnit(NewConfig(4*units.Kilowatt, 10*time.Minute))
+	u := &Unit{Config: NewConfig(4*units.Kilowatt, 10*time.Minute)}
 	if got := u.Drain(0, time.Hour); got != time.Hour {
 		t.Errorf("zero load drain = %v", got)
 	}

@@ -25,7 +25,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -91,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var spec grid.Spec
 	if *specPath != "" {
-		if err := readSpec(*specPath, &spec); err != nil {
+		if err := grid.ReadSpec(*specPath, &spec); err != nil {
 			fmt.Fprintf(stderr, "gridrun: %v\n", err)
 			return 2
 		}
@@ -183,29 +182,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// readSpec strictly decodes a spec file (stdin for "-"): unknown fields
-// and trailing data are rejected, exactly as on the HTTP surface.
-func readSpec(path string, spec *grid.Spec) error {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return errors.New("spec: trailing data after JSON document")
-	}
-	return nil
 }
 
 // specFromFlags assembles a Spec from the axis flags.

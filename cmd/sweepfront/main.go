@@ -15,24 +15,30 @@
 //	sweepfront -serve -addr :8081 -workers http://a:8080,http://b:8080
 //
 // -shard-rows sets the target shard size (default: about four shards per
-// worker, rows / (4 × workers), and never under 64 rows; cuts stay
-// aligned to outage-batch units), -max-inflight-per-worker the
-// per-worker request bound, -max-retries the re-dispatch budget per
-// shard chain, and -hedge-after the straggler hedge trigger (0 =
-// adaptive from the observed shard-latency median; negative disables
-// hedging). None of
-// them changes the output bytes. -metrics-addr exposes the coordinator's
-// GET /metrics (shards dispatched/retried/hedged/cancelled, rows merged,
-// per-worker counters, p50/p99 shard latency) while a one-shot run is in
-// flight; serve mode always mounts /metrics. -store-dir attaches a
-// persistent result store: loopback workers consult and fill it (a warm
-// rerun evaluates nothing), serve mode mounts GET /v1/results over it,
-// and its counters join the metrics document.
+// worker, and never under 64 rows; cuts are even and stay aligned to
+// outage-batch units), -max-inflight-per-worker the per-worker request
+// bound, -max-retries the re-dispatch budget per shard chain, and
+// -hedge-after the straggler hedge trigger (0 = adaptive from the
+// observed shard-latency median; negative disables hedging). None of
+// them changes the output bytes.
+//
+// Serve mode runs backupd's own internal/httpapi server with the fabric
+// as its sweep backend, so POST /v1/sweep keeps backupd's contract: the
+// same body, typed 400s before any worker is contacted, 429 past the
+// admission bound, a -timeout deadline (30s when 0), and in-band error
+// lines once streaming (fabric_failed when the pool cannot deliver a
+// shard). The other backupd routes are answered locally. GET /metrics is
+// one document: backupd's members plus rows_merged, shard_latency,
+// shards and workers. SIGINT/SIGTERM drain like backupd.
+//
+// In one-shot mode -timeout bounds the run and -metrics-addr serves the
+// same GET /metrics while it is in flight. -store-dir attaches a
+// persistent result store: loopback workers consult and fill it, serve
+// mode mounts GET /v1/results over it, and its counters join /metrics.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -68,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxInflight := fs.Int("max-inflight-per-worker", 0, "concurrent shard requests per worker (0 = default)")
 	hedgeAfter := fs.Duration("hedge-after", 0, "hedge straggler shards after this long (0 = adaptive, negative = off)")
 	width := fs.Int("width", 0, "per-request sweep width asked of workers (0 = worker default)")
-	timeout := fs.Duration("timeout", 0, "overall run deadline (0 = none)")
+	timeout := fs.Duration("timeout", 0, "run deadline; in -serve mode the per-request deadline (0 = none; 30s in -serve mode)")
 	out := fs.String("o", "", "write merged NDJSON to a file instead of stdout")
 	metricsAddr := fs.String("metrics-addr", "", "also serve GET /metrics on this address during the run")
 	serve := fs.Bool("serve", false, "run as a serving frontend: POST /v1/sweep fans out across the pool")
@@ -79,6 +85,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	var spec grid.Spec
+	if !*serve {
+		if *specPath == "" {
+			fmt.Fprintln(stderr, "sweepfront: -spec is required (or use -serve)")
+			return 2
+		}
+		if err := grid.ReadSpec(*specPath, &spec); err != nil {
+			fmt.Fprintf(stderr, "sweepfront: %v\n", err)
+			return 2
+		}
 	}
 
 	var store resultstore.Store
@@ -137,6 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DefaultServers:       *servers,
 		WorkerWidth:          *width,
 		Store:                store,
+		Timeout:              *timeout,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "sweepfront: %v\n", err)
@@ -145,16 +163,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *serve {
 		return serveMode(f, *addr, stderr)
-	}
-
-	if *specPath == "" {
-		fmt.Fprintln(stderr, "sweepfront: -spec is required (or use -serve)")
-		return 2
-	}
-	var spec grid.Spec
-	if err := readSpec(*specPath, &spec); err != nil {
-		fmt.Fprintf(stderr, "sweepfront: %v\n", err)
-		return 2
 	}
 
 	ctx := context.Background()
@@ -166,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", f.Metrics())
+		mux.Handle("GET /metrics", f.Handler())
 		msrv := &http.Server{Addr: *metricsAddr, Handler: mux}
 		go msrv.ListenAndServe()
 		defer msrv.Close()
@@ -197,17 +205,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// serveMode runs the coordinator as a long-lived frontend, mounting
-// fabric.Handler: POST /v1/sweep decodes the same body backupd takes
-// (spec plus optional timeout; width is forwarded to workers) and
-// streams the merged NDJSON back.
+// serveMode runs the coordinator as a long-lived frontend over
+// fabric.Handler until SIGINT or SIGTERM, then drains like backupd: the
+// listener stops and in-flight requests finish within the grace.
 func serveMode(f *fabric.Fabric, addr string, stderr io.Writer) int {
 	srv := &http.Server{Addr: addr, Handler: f.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("sweepfront: serving /v1/sweep on %s", addr)
+		log.Printf("sweepfront: serving on %s", addr)
 		errc <- srv.ListenAndServe()
 	}()
 	select {
@@ -215,33 +222,19 @@ func serveMode(f *fabric.Fabric, addr string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sweepfront: %v\n", err)
 		return 1
 	case <-ctx.Done():
-		stop()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		stop() // restore default signal handling: a second signal kills immediately
+		log.Printf("sweepfront: signal received, draining for up to %v", drainGrace)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), drainGrace)
 		defer cancel()
-		srv.Shutdown(shutdownCtx)
+		if err := srv.Shutdown(shutdownCtx); err != nil {
+			log.Printf("sweepfront: drain incomplete: %v", err)
+			return 1
+		}
+		log.Printf("sweepfront: drained, exiting")
 		return 0
 	}
 }
 
-// readSpec strictly decodes a spec file (stdin for "-"), exactly as
-// cmd/gridrun does: unknown fields and trailing data are rejected.
-func readSpec(path string, spec *grid.Spec) error {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return errors.New("spec: trailing data after JSON document")
-	}
-	return nil
-}
+// drainGrace bounds how long serve mode waits for in-flight requests
+// after a shutdown signal (backupd's -drain default).
+const drainGrace = 15 * time.Second

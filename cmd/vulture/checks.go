@@ -77,8 +77,9 @@ func newChecker(base string, servers int, timeout time.Duration, metricsCheck bo
 	return c
 }
 
-// detectKind probes GET /metrics once: backupd documents carry "cache",
-// fabric documents carry "rows_merged".
+// detectKind probes GET /metrics once: fabric documents carry
+// "rows_merged", backupd documents carry "cache" and no "rows_merged". A
+// coordinator serves backupd's members too, so rows_merged decides first.
 func (c *checker) detectKind() targetKind {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -95,11 +96,11 @@ func (c *checker) detectKind() targetKind {
 	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&doc) != nil {
 		return kindUnknown
 	}
-	if _, ok := doc["cache"]; ok {
-		return kindBackupd
-	}
 	if _, ok := doc["rows_merged"]; ok {
 		return kindFabric
+	}
+	if _, ok := doc["cache"]; ok {
+		return kindBackupd
 	}
 	return kindUnknown
 }

@@ -43,7 +43,9 @@ import (
 	"sync"
 	"time"
 
+	"backuppower/internal/core"
 	"backuppower/internal/grid"
+	"backuppower/internal/httpapi"
 	"backuppower/internal/resultstore"
 )
 
@@ -93,11 +95,15 @@ type Options struct {
 	WorkerWidth int
 
 	// Store, when set, is the coordinator's persistent result store
-	// (-store-dir): GET /v1/results is mounted over it on the Handler
-	// surface and its counters are appended to the metrics document.
-	// Attaching the store to the evaluation pathway (grid.SetRowStore on
-	// the workers) is the caller's job.
+	// (-store-dir): the Handler surface mounts GET /v1/results over it
+	// and adds its counters to /metrics. Attaching the store to the
+	// evaluation pathway (grid.SetRowStore on the workers) is the
+	// caller's job.
 	Store resultstore.Store
+
+	// Timeout is the Handler surface's per-request deadline, the cap on a
+	// request's own timeout (0 = httpapi's default, 30s).
+	Timeout time.Duration
 
 	// QuarantineAfter is how many consecutive failures sideline a worker;
 	// QuarantineFor how long (0 = DefaultQuarantineAfter / -For). A fully
@@ -177,18 +183,38 @@ func New(opt Options) (*Fabric, error) {
 			}
 		}
 	}
-	m := newMetrics(opt.Workers)
-	m.store = opt.Store
 	return &Fabric{
 		opt:     opt,
 		pool:    newPool(opt.Workers, opt.MaxInflightPerWorker, opt.QuarantineAfter, opt.QuarantineFor),
-		metrics: m,
+		metrics: newMetrics(opt.Workers),
 	}, nil
 }
 
-// Metrics exposes the coordinator's observability state (GET /metrics on
-// cmd/sweepfront renders it).
+// Metrics exposes the coordinator's own observability state: shard,
+// merge and worker counters.
 func (f *Fabric) Metrics() *Metrics { return f.metrics }
+
+// MetricsSections makes the coordinator's counters members of the
+// serving surface's /metrics document.
+func (f *Fabric) MetricsSections() []httpapi.MetricsSection { return f.metrics.sections() }
+
+// Handler returns the coordinator's serving surface, which cmd/sweepfront
+// -serve mounts: backupd's httpapi server with this fabric as its sweep
+// backend, so POST /v1/sweep keeps backupd's whole contract but fans the
+// compiled plan out over the pool.
+func (f *Fabric) Handler() http.Handler {
+	api, err := httpapi.New(httpapi.Config{
+		Framework:    core.New(f.opt.DefaultServers),
+		Timeout:      f.opt.Timeout,
+		MaxSweepRows: f.opt.MaxRows,
+		Store:        f.opt.Store,
+		Sweep:        f,
+	})
+	if err != nil {
+		panic(err) // only a nil Framework is rejected
+	}
+	return api.Handler()
+}
 
 // shardOut is one completed shard on its way to the merger.
 type shardOut struct {
@@ -197,26 +223,33 @@ type shardOut struct {
 	err   error
 }
 
-// Run compiles the spec, shards the plan, fans the shards out over the
-// pool, and writes the merged NDJSON stream to w — byte-identical to a
-// single-node run of the same spec. It returns the first unrecoverable
-// error (compile rejection, a shard exhausting retries and hedges,
-// context cancellation, or a write failure); on error the stream may be
-// truncated at a row boundary but never contains a wrong, duplicate, or
-// out-of-order row.
+// Run compiles the spec and runs it with RunPlan: the one-shot form
+// cmd/sweepfront uses without -serve. It returns the compiler's typed
+// *grid.FieldError for a rejected spec, before any worker is contacted.
 func (f *Fabric) Run(ctx context.Context, spec grid.Spec, w io.Writer) error {
-	plan, err := grid.Compile(spec, grid.CompileOptions{
-		DefaultServers: f.opt.DefaultServers,
-		MaxRows:        f.opt.MaxRows,
-	})
+	plan, err := grid.Compile(spec, grid.CompileOptions{DefaultServers: f.opt.DefaultServers, MaxRows: f.opt.MaxRows})
 	if err != nil {
 		return err
 	}
-	planRows := len(plan.Points)
-	shards := plan.Shards(f.shardRows(planRows))
+	return f.RunPlan(ctx, spec, plan, len(plan.Points), w)
+}
+
+// RunPlan shards a plan compiled from spec, fans the shards out over the
+// pool, and writes the merged NDJSON stream to w — byte-identical to a
+// single-node run of the same rows. plan may be a row range of the full
+// plan (grid.CompileRange): shards carry absolute indices, and planRows,
+// the full plan's row count, is what every worker must report. When w is
+// an http.Flusher it is flushed after each merged shard. RunPlan returns
+// the first unrecoverable error (a shard exhausting retries and hedges,
+// context cancellation, or a write failure); on error the stream may be
+// truncated at a row boundary but never contains a wrong, duplicate, or
+// out-of-order row.
+func (f *Fabric) RunPlan(ctx context.Context, spec grid.Spec, plan *grid.Plan, planRows int, w io.Writer) error {
+	shards := plan.Shards(f.shardRows(len(plan.Points)))
 	if len(shards) == 0 {
 		return nil
 	}
+	flusher, _ := w.(http.Flusher)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -296,6 +329,9 @@ func (f *Fabric) Run(ctx context.Context, spec grid.Spec, w io.Writer) error {
 				}
 				if firstErr != nil {
 					break
+				}
+				if flusher != nil {
+					flusher.Flush()
 				}
 				next++
 			}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"backuppower/internal/core"
+	"backuppower/internal/cost"
 	"backuppower/internal/grid"
 	"backuppower/internal/httpapi"
 )
@@ -160,6 +161,52 @@ func TestFabricShardRowsScaleWithPlan(t *testing.T) {
 	}
 	if got := f.shardRows(100); got != grid.DefaultShardRows {
 		t.Fatalf("a small plan shards at %d rows, want the %d-row floor", got, grid.DefaultShardRows)
+	}
+
+	// The study behind Figs 6-9 — nine Table 3 configs × 30 technique
+	// variants × 16 outages = 4320 rows in 16-row batch units — goes out
+	// over two workers as 8 even shards, not 8 × 528 rows plus a 96-row
+	// tail.
+	var configs []grid.ConfigDTO
+	for _, b := range cost.Table3(1) {
+		configs = append(configs, grid.ConfigDTO{Name: b.Name})
+	}
+	study := grid.Spec{
+		Servers:           []int{8},
+		Workloads:         []string{"specjbb"},
+		Configs:           configs,
+		TechniqueVariants: true,
+		Outages: []string{"30s", "45s", "1m", "2m", "3m", "5m", "7m", "10m",
+			"12m", "15m", "20m", "30m", "45m", "1h", "90m", "2h"},
+	}
+	plan, err = grid.Compile(study, grid.CompileOptions{DefaultServers: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Points) != 4320 {
+		t.Fatalf("study has %d rows, want 4320", len(plan.Points))
+	}
+	f, err = New(Options{Workers: urls, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := plan.Shards(f.shardRows(len(plan.Points)))
+	lo, hi := len(plan.Points), 0
+	for _, sh := range shards {
+		lo, hi = min(lo, sh.Rows()), max(hi, sh.Rows())
+	}
+	if len(shards) != 8 || float64(hi)/float64(lo) > 1.1 {
+		t.Fatalf("study shards %+v: want 8 with max/min rows <= 1.1", shards)
+	}
+	var got bytes.Buffer
+	if err := f.Run(t.Context(), study, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), singleNodeNDJSON(t, study)) {
+		t.Fatal("study: merged stream diverged from single node")
+	}
+	if n := f.Metrics().shardsDispatched.Value(); n != 8 {
+		t.Fatalf("study: %d shards dispatched, want 8", n)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestHandlerSweepRejectsHostileBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oversized := `{"spec":{"workloads":["` + strings.Repeat("a", maxBodyBytes) + `"]}}`
+	oversized := `{"spec":{"workloads":["` + strings.Repeat("a", 1<<20) + `"]}}`
 	for name, body := range map[string]string{
 		"oversized":        oversized,
 		"trailing garbage": string(spec) + " trailing",
@@ -121,9 +121,11 @@ func TestHandlerSweepRejectsHostileBodies(t *testing.T) {
 	}
 }
 
-// A spec that fails to compile is only discovered once the stream has
-// started, so the handler reports it in-band: 200, then a final NDJSON
-// error line.
+// A spec that fails to compile is rejected before the stream starts,
+// exactly as backupd rejects it: a 400 with the grid's typed field error,
+// and no worker contacted. (The coordinator once compiled after sending
+// its 200 and reported this in-band as fabric_failed; one compile in the
+// shared handler made it a clean pre-stream rejection.)
 func TestHandlerSweepInBandError(t *testing.T) {
 	ts := newFrontend(t, 1)
 	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
@@ -132,20 +134,60 @@ func TestHandlerSweepInBandError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200 with in-band error", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
 	var doc struct {
 		Error struct {
 			Code    string `json:"code"`
+			Field   string `json:"field"`
 			Message string `json:"message"`
 		} `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Error.Code != "fabric_failed" || doc.Error.Message == "" {
-		t.Fatalf("in-band error %+v", doc.Error)
+	if doc.Error.Code != "unknown_workload" || doc.Error.Field != "workloads[0]" || doc.Error.Message == "" {
+		t.Fatalf("error body %+v", doc.Error)
+	}
+}
+
+// A failure once the stream has started stays in-band with the
+// coordinator's own code: a worker that answers with a server error on
+// every attempt exhausts the shard's retries, and the final NDJSON line
+// is fabric_failed, not the input-shaped invalid_scenario.
+func TestHandlerSweepFabricFailedInBand(t *testing.T) {
+	urls := newWorkers(t, 1, func(_ int, _ http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			http.Error(w, "down", http.StatusInternalServerError)
+		})
+	})
+	f, err := New(Options{Workers: urls, DefaultServers: 64, MaxRetries: -1, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(f.Handler())
+	t.Cleanup(ts.Close)
+	body, err := json.Marshal(map[string]any{"spec": testSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200 with an in-band error", resp.StatusCode)
+	}
+	var doc struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(got, &doc); err != nil || doc.Error.Code != "fabric_failed" {
+		t.Fatalf("stream %q: want one fabric_failed error line (%v)", got, err)
 	}
 }
 
@@ -172,8 +214,11 @@ func TestHandlerMetricsAndHealthz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := doc["rows_merged"]; !ok {
-		t.Fatalf("metrics document missing rows_merged: %v", doc)
+	// One document: the server's members beside the fabric's.
+	for _, key := range []string{"cache", "requests", "statuses", "rows_merged", "shard_latency", "shards", "workers"} {
+		if _, ok := doc[key]; !ok {
+			t.Fatalf("metrics document missing %s: %v", key, doc)
+		}
 	}
 	// Mutating methods stay off the read-only surface.
 	for _, path := range []string{"/metrics", "/healthz"} {

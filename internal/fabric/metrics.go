@@ -1,22 +1,19 @@
 package fabric
 
 import (
-	"encoding/json"
 	"expvar"
-	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
 
-	"backuppower/internal/resultstore"
+	"backuppower/internal/httpapi"
 )
 
 // Metrics is the coordinator's observability state, mirroring the
 // backupd metrics style: expvar types without process-global
-// registration (a process may hold many Fabrics — tests do), rendered as
-// one JSON document with a fixed key order at GET /metrics.
+// registration (a process may hold many Fabrics — tests do), rendered by
+// httpapi.WriteMetrics with a fixed key order.
 type Metrics struct {
 	// Shard lifecycle counters: attempts dispatched to workers, retry
 	// attempts after a failure, hedge chains launched against
@@ -42,11 +39,6 @@ type Metrics struct {
 	mu       sync.Mutex
 	latTotal int
 	latRing  [latencyRingSize]time.Duration
-
-	// store, when non-nil, contributes the coordinator's persistent
-	// result store counters to the document (set only under -store-dir,
-	// so the store-less layout is unchanged).
-	store resultstore.Store
 }
 
 // latencyRingSize bounds how many shard latencies the quantile window
@@ -106,29 +98,40 @@ func (m *Metrics) shardLatencyQuantiles() (p50, p99 time.Duration, n int) {
 	return q(0.50), q(0.99), n
 }
 
-// Write renders the metrics document. Key order is fixed (expvar Maps
-// iterate sorted), so the layout is stable; the values are live counters.
-func (m *Metrics) Write(w io.Writer) {
-	p50, p99, n := m.shardLatencyQuantiles()
-	fmt.Fprintf(w, `{"rows_merged":%s,`, m.rowsMerged.String())
-	fmt.Fprintf(w, `"shard_latency":{"completed":%d,"p50_ns":%d,"p99_ns":%d},`, n, p50, p99)
-	fmt.Fprintf(w, `"shards":{"cancelled":%s,"dispatched":%s,"hedged":%s,"retried":%s},`,
-		m.shardsCancelled.String(), m.shardsDispatched.String(),
-		m.shardsHedged.String(), m.shardsRetried.String())
-	if m.store != nil {
-		if b, err := json.Marshal(m.store.Stats()); err == nil {
-			fmt.Fprintf(w, `"store":%s,`, b)
-		}
-	}
-	fmt.Fprintf(w, `"workers":{"dispatched":%s,"failed":%s,"ids":%s,"rows":%s}}`,
-		m.workerDispatched.String(), m.workerFailed.String(),
-		m.workerIDs.String(), m.workerRows.String())
-	io.WriteString(w, "\n")
+// shardLatency is the "shard_latency" member: completed shards ever
+// observed, and p50/p99 over the retained window.
+type shardLatency struct {
+	Completed int           `json:"completed"`
+	P50NS     time.Duration `json:"p50_ns"`
+	P99NS     time.Duration `json:"p99_ns"`
 }
 
-// ServeHTTP makes Metrics the GET /metrics handler on cmd/sweepfront.
-func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	m.Write(w)
+// sections are the coordinator's top-level metrics members.
+func (m *Metrics) sections() []httpapi.MetricsSection {
+	return []httpapi.MetricsSection{
+		{Key: "rows_merged", Value: &m.rowsMerged},
+		{Key: "shard_latency", Value: expvar.Func(func() any {
+			p50, p99, n := m.shardLatencyQuantiles()
+			return shardLatency{Completed: n, P50NS: p50, P99NS: p99}
+		})},
+		{Key: "shards", Value: httpapi.MetricsObject{
+			{Key: "cancelled", Value: &m.shardsCancelled},
+			{Key: "dispatched", Value: &m.shardsDispatched},
+			{Key: "hedged", Value: &m.shardsHedged},
+			{Key: "retried", Value: &m.shardsRetried},
+		}},
+		{Key: "workers", Value: httpapi.MetricsObject{
+			{Key: "dispatched", Value: &m.workerDispatched},
+			{Key: "failed", Value: &m.workerFailed},
+			{Key: "ids", Value: &m.workerIDs},
+			{Key: "rows", Value: &m.workerRows},
+		}},
+	}
+}
+
+// Write renders the coordinator's own metrics document: rows_merged,
+// shard_latency, shards and workers. The Handler surface's /metrics
+// holds these same members beside the server's.
+func (m *Metrics) Write(w io.Writer) {
+	httpapi.WriteMetrics(w, m.sections())
 }

@@ -17,7 +17,11 @@
 package grid
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"backuppower/internal/core"
@@ -148,6 +152,30 @@ type Point struct {
 type Plan struct {
 	Op     string
 	Points []Point
+}
+
+// ReadSpec strictly decodes a spec file ("-" reads stdin), as
+// cmd/gridrun -spec and cmd/sweepfront -spec take it: unknown fields and
+// trailing data are rejected.
+func ReadSpec(path string, spec *Spec) error {
+	var r io.Reader = os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		r = f
+	}
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		return fmt.Errorf("spec: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("spec: trailing data after JSON document")
+	}
+	return nil
 }
 
 // CompileOptions parameterize Compile.

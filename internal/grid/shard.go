@@ -45,11 +45,12 @@ const DefaultShardRows = 64
 
 // Shards splits the plan into contiguous row ranges of about shardRows
 // rows each (0 or negative means DefaultShardRows), covering every row
-// exactly once, in order. Cut points are aligned to batch-unit
-// boundaries: a maximal run of consecutive rows that differ only in
-// outage always lands in one shard, so the outage-axis batch kernel is
-// as effective per shard as it is on a single node. A unit longer than
-// shardRows becomes one oversized shard rather than being split.
+// exactly once, in order. The plan goes out as k = ceil(rows/shardRows)
+// shards of even size: cut i lands on the batch-unit boundary nearest
+// i·rows/k. A maximal run of consecutive rows that differ only in outage
+// always lands in one shard, so the outage-axis batch kernel is as
+// effective per shard as it is on a single node. A unit longer than a
+// shard's share is never split, so it can leave fewer, larger shards.
 func (p *Plan) Shards(shardRows int) []RowRange {
 	if shardRows <= 0 {
 		shardRows = DefaultShardRows
@@ -58,22 +59,32 @@ func (p *Plan) Shards(shardRows int) []RowRange {
 	if n == 0 {
 		return nil
 	}
+	k := (n + shardRows - 1) / shardRows
+	base := p.Points[0].Index
 	units := groupUnits(p.Points, false)
-	shards := make([]RowRange, 0, (n+shardRows-1)/shardRows)
-	cur := RowRange{Start: p.Points[0].Index}
-	cur.End = cur.Start
-	for _, unit := range units {
-		unitEnd := unit[len(unit)-1].Index + 1
-		if cur.End > cur.Start && unitEnd-cur.Start > shardRows {
-			shards = append(shards, cur)
-			cur = RowRange{Start: cur.End, End: cur.End}
+	shards := make([]RowRange, 0, k)
+	start, end, u := 0, 0, 0 // offsets: open shard start, end of units[:u]
+	for i := 1; i < k; i++ {
+		target := i * n / k
+		// Advance to the unit boundary nearest target, past start.
+		for u < len(units) && (end <= start || abs(end+len(units[u])-target) < abs(end-target)) {
+			end += len(units[u])
+			u++
 		}
-		cur.End = unitEnd
+		if end <= start || end >= n {
+			break
+		}
+		shards = append(shards, RowRange{Start: base + start, End: base + end})
+		start = end
 	}
-	if cur.End > cur.Start {
-		shards = append(shards, cur)
+	return append(shards, RowRange{Start: base + start, End: base + n})
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
 	}
-	return shards
+	return x
 }
 
 // Slice returns the sub-plan covering r: the same op over the shared

@@ -8,11 +8,8 @@ import (
 	"strings"
 	"time"
 
-	"backuppower/internal/cost"
 	"backuppower/internal/grid"
-	"backuppower/internal/technique"
 	"backuppower/internal/units"
-	"backuppower/internal/workload"
 )
 
 // apiError is a request rejection on its way to becoming a typed 4xx
@@ -33,18 +30,6 @@ func (e *apiError) Error() string {
 
 func badRequest(code, field, format string, args ...any) *apiError {
 	return &apiError{status: 400, code: code, field: field, message: fmt.Sprintf(format, args...)}
-}
-
-// asAPIError maps a grid resolver rejection (a typed *grid.FieldError) to
-// its 400 response, passing every other error through unchanged. The
-// resolvers themselves live in internal/grid so the HTTP surface, the
-// sweep subsystem, and cmd/gridrun share one set of codes and rules.
-func asAPIError(err error) error {
-	var fe *grid.FieldError
-	if errors.As(err, &fe) {
-		return badRequest(fe.Code, fe.Field, "%s", fe.Message)
-	}
-	return err
 }
 
 // decodeStrict decodes one JSON document into v, rejecting unknown
@@ -80,14 +65,19 @@ func DecodeEvaluateRequest(r io.Reader) (EvaluateRequest, error) {
 	return req, nil
 }
 
-// parseOutage validates the shared outage field: parseable, positive,
-// and inside the framework's accepted band.
-func parseOutage(s string) (time.Duration, error) {
-	d, err := grid.ParseOutage(s)
+// parsePoint validates the fields every point route shares: the outage
+// (parseable, positive, inside the framework's accepted band), the
+// optional timeout and the optional width, in that order.
+func parsePoint(outage, timeout string, width int) (time.Duration, time.Duration, error) {
+	d, err := grid.ParseOutage(outage)
 	if err != nil {
-		return 0, asAPIError(err)
+		return 0, 0, err
 	}
-	return d, nil
+	t, err := parseTimeout(timeout)
+	if err == nil {
+		err = parseWidth(width)
+	}
+	return d, t, err
 }
 
 // parseTimeout validates the optional per-request timeout override.
@@ -111,40 +101,4 @@ func parseWidth(w int) error {
 		return badRequest("out_of_range", "width", "width %d out of [0, 1024]", w)
 	}
 	return nil
-}
-
-// resolveWorkload maps a workload name to its calibrated spec.
-func resolveWorkload(name string) (workload.Spec, error) {
-	w, err := grid.ResolveWorkload(name)
-	if err != nil {
-		return workload.Spec{}, asAPIError(err)
-	}
-	return w, nil
-}
-
-// resolveConfig maps a ConfigDTO to a concrete backup configuration.
-// peak is the serving datacenter's peak power, which scales the named
-// Table 3 configurations.
-func resolveConfig(d ConfigDTO, peak units.Watts) (cost.Backup, error) {
-	b, err := grid.ResolveConfig(d, peak)
-	if err != nil {
-		return cost.Backup{}, asAPIError(err)
-	}
-	return b, nil
-}
-
-// serverDeps carries the environment facts request validation needs.
-type serverDeps struct {
-	deepestPState int
-	peak          units.Watts
-}
-
-// resolveTechnique maps a TechniqueDTO to a concrete technique,
-// validating that every supplied parameter applies to the named family.
-func resolveTechnique(d TechniqueDTO, deps *serverDeps) (technique.Technique, error) {
-	t, err := grid.ResolveTechnique(d, deps.deepestPState)
-	if err != nil {
-		return nil, asAPIError(err)
-	}
-	return t, nil
 }

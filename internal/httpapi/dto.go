@@ -1,9 +1,7 @@
 package httpapi
 
 import (
-	"backuppower/internal/cluster"
 	"backuppower/internal/core"
-	"backuppower/internal/cost"
 	"backuppower/internal/grid"
 )
 
@@ -62,10 +60,6 @@ type (
 	BackupDTO = grid.BackupDTO
 )
 
-func resultDTO(r cluster.Result) ResultDTO { return grid.NewResultDTO(r) }
-
-func backupDTO(b cost.Backup) BackupDTO { return grid.NewBackupDTO(b) }
-
 // EvaluateResponse is the body of a successful POST /v1/evaluate.
 type EvaluateResponse struct {
 	Result ResultDTO `json:"result"`
@@ -86,8 +80,8 @@ func sizeResponse(op core.OperatingPoint, ok bool) SizeResponse {
 	if !ok {
 		return SizeResponse{}
 	}
-	b := backupDTO(op.Backup)
-	r := resultDTO(op.Result)
+	b := grid.NewBackupDTO(op.Backup)
+	r := grid.NewResultDTO(op.Result)
 	return SizeResponse{
 		Feasible:  true,
 		Technique: op.Technique,

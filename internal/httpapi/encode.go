@@ -5,7 +5,7 @@ import (
 	"errors"
 	"net/http"
 
-	"backuppower/internal/workload"
+	"backuppower/internal/grid"
 )
 
 // writeJSON encodes v as the response body. Encoding our own DTO structs
@@ -19,12 +19,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// writeError renders any rejection as the typed error body. Errors that
-// are not *apiError (never expected from our own paths) become opaque
-// 500s rather than leaking internals.
+// writeError renders any rejection as the typed error body. A grid
+// resolver's *grid.FieldError is a 400 with its code and field — the
+// resolvers live in internal/grid, so the HTTP surface, the sweep
+// subsystem and cmd/gridrun share one set of codes and rules. Any other
+// error that is not an *apiError (never expected from our own paths)
+// becomes an opaque 500 rather than leaking internals.
 func writeError(w http.ResponseWriter, err error) {
 	var ae *apiError
-	if !errors.As(err, &ae) {
+	var fe *grid.FieldError
+	switch {
+	case errors.As(err, &ae):
+	case errors.As(err, &fe):
+		ae = badRequest(fe.Code, fe.Field, "%s", fe.Message)
+	default:
 		ae = &apiError{status: http.StatusInternalServerError, code: "internal", message: "internal error"}
 	}
 	writeJSON(w, ae.status, ErrorBody{Error: ErrorDetail{
@@ -48,7 +56,3 @@ func writeSaturated(w http.ResponseWriter) {
 	writeError(w, &apiError{status: http.StatusTooManyRequests, code: "saturated",
 		message: "all evaluation slots are in flight; retry shortly"})
 }
-
-// workloadAll gives httpapi.go its workload registry without a direct
-// import knot in the handler file.
-func workloadAll() []workload.Spec { return workload.All() }

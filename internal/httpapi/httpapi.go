@@ -1,6 +1,5 @@
 // Package httpapi exposes the evaluation framework over JSON/HTTP — the
-// serving surface behind cmd/backupd. Five endpoints cover the
-// framework's hot paths:
+// serving surface behind cmd/backupd and cmd/sweepfront -serve:
 //
 //	POST /v1/evaluate   one scenario: config x technique x workload x outage
 //	POST /v1/size       min-cost UPS sizing for a technique (MinCostUPSCtx)
@@ -19,11 +18,20 @@
 // per-request deadline wired into the framework's Ctx variants (504 on
 // expiry), and honor a per-request sweep width via sweep.WithWidth —
 // responses are byte-identical at any width and any interleaving.
+//
+// /v1/sweep has one contract on both daemons. Every body is decoded,
+// validated and compiled here, so a rejected spec is a typed 400 before
+// anything streams; only the compiled plan's execution differs. backupd
+// runs it on its own grid.Runner; the coordinator's Config.Sweep backend
+// (*fabric.Fabric) fans it out over workers and adds its shard and
+// worker members to /metrics. A failure after the stream starts is a
+// final in-band NDJSON error line.
 package httpapi
 
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -33,6 +41,8 @@ import (
 	"backuppower/internal/grid"
 	"backuppower/internal/resultstore"
 	"backuppower/internal/sweep"
+	"backuppower/internal/units"
+	"backuppower/internal/workload"
 )
 
 // Config parameterizes a Server.
@@ -75,6 +85,24 @@ type Config struct {
 	// (grid.SetRowStore) is the caller's job — the row store is
 	// process-global while Servers are per-instance.
 	Store resultstore.Store
+
+	// Sweep, when set, runs every compiled /v1/sweep plan instead of this
+	// server's own grid.Runner (cmd/sweepfront -serve plugs in its
+	// *fabric.Fabric).
+	Sweep SweepBackend
+}
+
+// SweepBackend runs a compiled /v1/sweep plan elsewhere.
+type SweepBackend interface {
+	// RunPlan streams the NDJSON rows of plan — compiled from spec, and
+	// a row range of it for row_range requests — to w in plan order,
+	// byte-identical to this server's own run; planRows is the full
+	// plan's row count. It may flush w as rows become final. A failure
+	// that is not a context error is reported in-band as fabric_failed.
+	RunPlan(ctx context.Context, spec grid.Spec, plan *grid.Plan, planRows int, w io.Writer) error
+
+	// MetricsSections are the backend's own top-level /metrics members.
+	MetricsSections() []MetricsSection
 }
 
 // Server is the HTTP serving surface over one shared framework.
@@ -84,8 +112,13 @@ type Server struct {
 	sem     chan struct{}
 	metrics *metrics
 	handler http.Handler
-	deps    serverDeps
-	runner  *grid.Runner
+
+	// deepestPState and peak are the environment facts request
+	// validation needs: the deepest throttling P-state, and the peak
+	// power that scales the named Table 3 configurations.
+	deepestPState int
+	peak          units.Watts
+	runner        *grid.Runner
 
 	// testHookEvalStarted, when set, runs after an evaluation slot is
 	// acquired and before the evaluation itself — the seam the
@@ -108,16 +141,15 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxBodyBytes = 1 << 20
 	}
 	s := &Server{
-		fw:      cfg.Framework,
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.MaxInflight),
-		metrics: newMetrics(),
-		deps: serverDeps{
-			deepestPState: len(cfg.Framework.Env.Server.PStates) - 1,
-			peak:          cfg.Framework.Env.PeakPower(),
-		},
-		runner: grid.NewRunner(cfg.Framework),
+		fw:            cfg.Framework,
+		cfg:           cfg,
+		sem:           make(chan struct{}, cfg.MaxInflight),
+		metrics:       newMetrics(),
+		deepestPState: len(cfg.Framework.Env.Server.PStates) - 1,
+		peak:          cfg.Framework.Env.PeakPower(),
+		runner:        grid.NewRunner(cfg.Framework),
 	}
+	s.metrics.backend = cfg.Sweep
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/evaluate", s.route("/v1/evaluate", s.handleEvaluate))
@@ -130,7 +162,7 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /metrics", s.route("/metrics", s.handleMetrics))
 	if cfg.Store != nil {
 		s.metrics.store = cfg.Store
-		mux.HandleFunc("GET /v1/results", s.route("/v1/results", NewResultsHandler(cfg.Store)))
+		mux.HandleFunc("GET /v1/results", s.route("/v1/results", resultsHandler(cfg.Store)))
 	}
 	if cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -165,6 +197,18 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
+// Flush passes a streaming handler's flush through to the connection, so
+// a sweep reaches the client shard by shard.
+func (r *statusRecorder) Flush() {
+	if r.status == 0 {
+		r.status = http.StatusOK
+	}
+	http.NewResponseController(r.ResponseWriter).Flush()
+}
+
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // route wraps a handler with the shared middleware: panic containment,
 // body limiting, and per-route request/status/latency metrics.
 func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
@@ -187,20 +231,25 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// acquire takes an evaluation slot, or reports saturation.
-func (s *Server) acquire() bool {
+// begin admits an evaluation: it takes a slot (or writes the 429 and
+// reports false) and derives the evaluation context. end releases both.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, width int, timeout time.Duration) (ctx context.Context, end func(), ok bool) {
 	select {
 	case s.sem <- struct{}{}:
-		s.metrics.inflight.Add(1)
-		return true
 	default:
-		return false
+		writeSaturated(w)
+		return nil, nil, false
 	}
-}
-
-func (s *Server) release() {
-	s.metrics.inflight.Add(-1)
-	<-s.sem
+	s.metrics.inflight.Add(1)
+	ctx, cancel := s.evalContext(r, width, timeout)
+	if s.testHookEvalStarted != nil {
+		s.testHookEvalStarted(ctx)
+	}
+	return ctx, func() {
+		cancel()
+		s.metrics.inflight.Add(-1)
+		<-s.sem
+	}, true
 }
 
 // evalContext derives the request's evaluation context: the server
@@ -251,53 +300,39 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	outage, err := parseOutage(req.Outage)
+	outage, timeout, err := parsePoint(req.Outage, req.Timeout, req.Width)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	timeout, err := parseTimeout(req.Timeout)
+	wl, err := grid.ResolveWorkload(req.Workload)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if err := parseWidth(req.Width); err != nil {
-		writeError(w, err)
-		return
-	}
-	wl, err := resolveWorkload(req.Workload)
+	backup, err := grid.ResolveConfig(req.Config, s.peak)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	backup, err := resolveConfig(req.Config, s.deps.peak)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	tech, err := resolveTechnique(req.Technique, &s.deps)
+	tech, err := grid.ResolveTechnique(req.Technique, s.deepestPState)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 
-	if !s.acquire() {
-		writeSaturated(w)
+	ctx, end, ok := s.begin(w, r, req.Width, timeout)
+	if !ok {
 		return
 	}
-	defer s.release()
-	ctx, cancel := s.evalContext(r, req.Width, timeout)
-	defer cancel()
-	if s.testHookEvalStarted != nil {
-		s.testHookEvalStarted(ctx)
-	}
+	defer end()
 
 	res, err := s.fw.EvaluateCtx(ctx, backup, tech, wl, outage)
 	if err != nil {
 		writeError(w, evalError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, EvaluateResponse{Result: resultDTO(res)})
+	writeJSON(w, http.StatusOK, EvaluateResponse{Result: grid.NewResultDTO(res)})
 }
 
 func (s *Server) handleSize(w http.ResponseWriter, r *http.Request) {
@@ -306,41 +341,27 @@ func (s *Server) handleSize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	outage, err := parseOutage(req.Outage)
+	outage, timeout, err := parsePoint(req.Outage, req.Timeout, req.Width)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	timeout, err := parseTimeout(req.Timeout)
+	wl, err := grid.ResolveWorkload(req.Workload)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if err := parseWidth(req.Width); err != nil {
-		writeError(w, err)
-		return
-	}
-	wl, err := resolveWorkload(req.Workload)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	tech, err := resolveTechnique(req.Technique, &s.deps)
+	tech, err := grid.ResolveTechnique(req.Technique, s.deepestPState)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 
-	if !s.acquire() {
-		writeSaturated(w)
+	ctx, end, ok := s.begin(w, r, req.Width, timeout)
+	if !ok {
 		return
 	}
-	defer s.release()
-	ctx, cancel := s.evalContext(r, req.Width, timeout)
-	defer cancel()
-	if s.testHookEvalStarted != nil {
-		s.testHookEvalStarted(ctx)
-	}
+	defer end()
 
 	op, ok, err := s.fw.MinCostUPSCtx(ctx, tech, wl, outage)
 	if err != nil {
@@ -356,48 +377,34 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	outage, err := parseOutage(req.Outage)
+	outage, timeout, err := parsePoint(req.Outage, req.Timeout, req.Width)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	timeout, err := parseTimeout(req.Timeout)
+	wl, err := grid.ResolveWorkload(req.Workload)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if err := parseWidth(req.Width); err != nil {
-		writeError(w, err)
-		return
-	}
-	wl, err := resolveWorkload(req.Workload)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	backup, err := resolveConfig(req.Config, s.deps.peak)
+	backup, err := grid.ResolveConfig(req.Config, s.peak)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 
-	if !s.acquire() {
-		writeSaturated(w)
+	ctx, end, ok := s.begin(w, r, req.Width, timeout)
+	if !ok {
 		return
 	}
-	defer s.release()
-	ctx, cancel := s.evalContext(r, req.Width, timeout)
-	defer cancel()
-	if s.testHookEvalStarted != nil {
-		s.testHookEvalStarted(ctx)
-	}
+	defer end()
 
 	res, tech, err := s.fw.BestForConfigCtx(ctx, backup, wl, outage)
 	if err != nil {
 		writeError(w, evalError(err))
 		return
 	}
-	resp := BestResponse{Result: resultDTO(res)}
+	resp := BestResponse{Result: grid.NewResultDTO(res)}
 	if tech != nil {
 		resp.Technique = tech.Name()
 	}
@@ -418,7 +425,7 @@ func (s *Server) handleTechniques(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	var resp WorkloadsResponse
-	for _, wl := range workloadAll() {
+	for _, wl := range workload.All() {
 		resp.Workloads = append(resp.Workloads, WorkloadInfo{
 			Name:             wl.Name,
 			PerfMetric:       wl.PerfMetric,

@@ -13,6 +13,7 @@ import (
 
 	"backuppower/internal/core"
 	"backuppower/internal/cost"
+	"backuppower/internal/grid"
 	"backuppower/internal/technique"
 	"backuppower/internal/workload"
 )
@@ -79,7 +80,7 @@ func TestEvaluateMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	json.NewEncoder(&want).Encode(EvaluateResponse{Result: resultDTO(res)})
+	json.NewEncoder(&want).Encode(EvaluateResponse{Result: grid.NewResultDTO(res)})
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("HTTP response differs from in-process evaluation:\nhttp: %s\nwant: %s", got, want.Bytes())
 	}

@@ -1,10 +1,11 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 
 	"backuppower/internal/core"
 	"backuppower/internal/resultstore"
@@ -32,6 +33,11 @@ type metrics struct {
 	// counters to the document (set only for -store-dir servers, so the
 	// store-less layout is byte-for-byte what it always was).
 	store resultstore.Store
+
+	// backend, when non-nil, contributes the sweep backend's own
+	// top-level members (the fabric coordinator's shard and worker
+	// counters).
+	backend SweepBackend
 }
 
 func newMetrics() *metrics {
@@ -54,25 +60,68 @@ func (m *metrics) observe(route string, status int, latencyNS int64) {
 	}
 }
 
-// writeTo renders the metrics document. Key order is fixed (and expvar
-// Maps iterate their keys sorted), so the document layout is stable; the
-// values themselves are live counters. Cache counters come from the
-// process-wide scenario cache the serving framework shares with every
-// in-process evaluation.
+// cacheStats is the "cache" member: the process-wide scenario cache the
+// serving framework shares with every in-process evaluation.
+type cacheStats struct {
+	Entries int    `json:"entries"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+}
+
+// writeTo renders the metrics document: the server's own members, the
+// store's counters under -store-dir, and the sweep backend's members.
 func (m *metrics) writeTo(w io.Writer) {
-	hits, misses := core.ScenarioCacheStats()
-	fmt.Fprintf(w, `{"cache":{"entries":%d,"hits":%d,"misses":%d},`, core.ScenarioCacheLen(), hits, misses)
-	fmt.Fprintf(w, `"inflight":%s,`, m.inflight.String())
-	fmt.Fprintf(w, `"latency_ns":%s,`, m.latencyNS.String())
-	fmt.Fprintf(w, `"requests":%s,`, m.requests.String())
-	fmt.Fprintf(w, `"saturated":%s,`, m.saturated.String())
-	fmt.Fprintf(w, `"statuses":%s,`, m.statuses.String())
-	if m.store != nil {
-		b, err := json.Marshal(m.store.Stats())
-		if err == nil {
-			fmt.Fprintf(w, `"store":%s,`, b)
-		}
+	sections := []MetricsSection{
+		{"cache", expvar.Func(func() any {
+			hits, misses := core.ScenarioCacheStats()
+			return cacheStats{Entries: core.ScenarioCacheLen(), Hits: hits, Misses: misses}
+		})},
+		{"inflight", &m.inflight},
+		{"latency_ns", &m.latencyNS},
+		{"requests", &m.requests},
+		{"saturated", &m.saturated},
+		{"statuses", &m.statuses},
+		{"timeouts", &m.timeouts},
 	}
-	fmt.Fprintf(w, `"timeouts":%s}`, m.timeouts.String())
-	io.WriteString(w, "\n")
+	if m.store != nil {
+		sections = append(sections, MetricsSection{"store", expvar.Func(func() any { return m.store.Stats() })})
+	}
+	if m.backend != nil {
+		sections = append(sections, m.backend.MetricsSections()...)
+	}
+	WriteMetrics(w, sections)
+}
+
+// MetricsSection is one top-level member of a metrics document: its key
+// and its live value, rendered as JSON by the value's String method.
+type MetricsSection struct {
+	Key   string
+	Value expvar.Var
+}
+
+// MetricsObject is a JSON object of live values, itself an expvar.Var so
+// objects nest. It renders its members in sorted key order, so the
+// layout is stable while the values are live counters (expvar Maps
+// iterate their own keys sorted too).
+type MetricsObject []MetricsSection
+
+func (o MetricsObject) String() string {
+	sort.Slice(o, func(i, j int) bool { return o[i].Key < o[j].Key })
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, s := range o {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%q:%s", s.Key, s.Value.String())
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// WriteMetrics renders sections as one metrics document on one line. It
+// is the one renderer behind every metrics document: backupd's /metrics,
+// the coordinator's merged /metrics, and (*fabric.Metrics).Write.
+func WriteMetrics(w io.Writer, sections []MetricsSection) {
+	io.WriteString(w, MetricsObject(sections).String()+"\n")
 }

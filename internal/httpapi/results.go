@@ -20,14 +20,12 @@ type GroupsResponse struct {
 	Groups []resultstore.Group `json:"groups"`
 }
 
-// NewResultsHandler serves GET /v1/results?query=... over a persistent
-// row store: the stored sweep rows are filtered and aggregated by the
+// resultsHandler serves GET /v1/results?query=... over a persistent row
+// store: the stored sweep rows are filtered and aggregated by the
 // resultstore query language and streamed back as the same NDJSON row
 // encoding /v1/sweep produces (Index 0 — stored rows are plan-
-// independent), or as a single JSON document for group-by queries. It is
-// a standalone handler so cmd/sweepfront's fabric surface can mount the
-// identical read path without embedding a Server.
-func NewResultsHandler(store resultstore.Store) http.HandlerFunc {
+// independent), or as a single JSON document for group-by queries.
+func resultsHandler(store resultstore.Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		plan, err := resultstore.ParseQuery(q.Get("query"))

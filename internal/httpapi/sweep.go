@@ -84,20 +84,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		planRows = len(plan.Points)
 	}
 	if err != nil {
-		writeError(w, asAPIError(err))
+		writeError(w, err)
 		return
 	}
 
-	if !s.acquire() {
-		writeSaturated(w)
+	ctx, end, ok := s.begin(w, r, req.Width, timeout)
+	if !ok {
 		return
 	}
-	defer s.release()
-	ctx, cancel := s.evalContext(r, req.Width, timeout)
-	defer cancel()
-	if s.testHookEvalStarted != nil {
-		s.testHookEvalStarted(ctx)
-	}
+	defer end()
 
 	// From here on the response streams: the status line and header go
 	// out before the first shard, so a mid-stream failure can only be
@@ -116,21 +111,34 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Sweep-Plan-Rows", strconv.Itoa(planRows))
 	w.WriteHeader(http.StatusOK)
 
-	runErr := s.runner.RunStream(ctx, plan, grid.RunOptions{
-		ShardSize: req.ShardSize,
-		Progress: func(grid.Progress) {
-			// Fires as each shard completes, before its rows are written:
-			// push the previous shard's buffered rows to the client so a
-			// long grid streams instead of arriving all at once.
-			if flusher != nil {
-				flusher.Flush()
-			}
-		},
-	}, func(row grid.RowResult) error {
-		return writeNDJSONLine(w, grid.NewRowDTO(plan.Op, row))
-	})
+	var runErr error
+	if s.cfg.Sweep != nil {
+		runErr = s.cfg.Sweep.RunPlan(ctx, req.Spec, plan, planRows, w)
+	} else {
+		runErr = s.runner.RunStream(ctx, plan, grid.RunOptions{
+			ShardSize: req.ShardSize,
+			Progress: func(grid.Progress) {
+				// Fires as each shard completes, before its rows are
+				// written: push the previous shard's buffered rows to the
+				// client so a long grid streams instead of arriving all at
+				// once.
+				if flusher != nil {
+					flusher.Flush()
+				}
+			},
+		}, func(row grid.RowResult) error {
+			return writeNDJSONLine(w, grid.NewRowDTO(plan.Op, row))
+		})
+	}
 	if runErr != nil {
 		ae := evalError(runErr)
+		if s.cfg.Sweep != nil && ae.code == "invalid_scenario" {
+			// Not a context error: the backend's own failure (a shard
+			// that exhausted its retries and hedges, a worker rejecting
+			// its range). The plan compiled here, so it is no input
+			// fault.
+			ae.code = "fabric_failed"
+		}
 		writeNDJSONLine(w, ErrorBody{Error: ErrorDetail{
 			Code:    ae.code,
 			Field:   ae.field,

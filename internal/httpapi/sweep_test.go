@@ -4,12 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"expvar"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"backuppower/internal/core"
+	"backuppower/internal/grid"
 )
 
 // sweepSpecJSON is the shared probe body: a 2-workload × 2-config ×
@@ -280,5 +287,103 @@ func TestGoldenSweep(t *testing.T) {
 					path, got.Bytes(), want)
 			}
 		})
+	}
+}
+
+// flushCounter counts the flushes a handler pushes through to the
+// connection's writer.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestSweepFlushesShardByShard: the metrics middleware's status recorder
+// passes flushes through, so a multi-shard sweep reaches the client shard
+// by shard rather than in one piece at the end.
+func TestSweepFlushesShardByShard(t *testing.T) {
+	s, err := New(Config{Framework: core.New(64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(sweepBody(`"shard_size":4`)))
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || !rec.Flushed {
+		t.Fatalf("status %d, flushed %v; want 200 and a flushed stream", rec.Code, rec.Flushed)
+	}
+
+	counted := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	req = httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(sweepBody(`"shard_size":4`)))
+	s.Handler().ServeHTTP(counted, req)
+	if !bytes.Equal(counted.Body.Bytes(), rec.Body.Bytes()) {
+		t.Fatal("the two runs of one sweep differ")
+	}
+	// 24 rows in shards of 4: a flush per completed shard plus the final one.
+	if counted.flushes < 6 {
+		t.Fatalf("%d flushes for a 6-shard sweep", counted.flushes)
+	}
+}
+
+// stubBackend is a SweepBackend that streams a fixed prefix and then
+// fails with err.
+type stubBackend struct {
+	err      error
+	planRows int
+}
+
+func (b *stubBackend) RunPlan(_ context.Context, _ grid.Spec, _ *grid.Plan, planRows int, w io.Writer) error {
+	b.planRows = planRows
+	io.WriteString(w, `{"index":0}`+"\n")
+	return b.err
+}
+
+func (b *stubBackend) MetricsSections() []MetricsSection {
+	v := new(expvar.Int)
+	v.Set(7)
+	return []MetricsSection{{Key: "stub", Value: v}}
+}
+
+// TestSweepBackendErrors: a plan run by a sweep backend keeps the
+// server's streaming contract. A backend failure is an in-band
+// fabric_failed line, never the input-shaped invalid_scenario; context
+// errors keep their own codes; the backend's members join /metrics.
+func TestSweepBackendErrors(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		code string
+	}{
+		{errors.New("shard 3 exhausted its retries"), "fabric_failed"},
+		{fmt.Errorf("shard 0: %w", context.DeadlineExceeded), "deadline_exceeded"},
+		{context.Canceled, "client_closed_request"},
+	} {
+		backend := &stubBackend{err: c.err}
+		_, ts := newTestServer(t, func(cfg *Config) *Server {
+			cfg.Sweep = backend
+			return nil
+		})
+		resp, body := post(t, ts.URL+"/v1/sweep", sweepBody(`"row_range":{"start":2,"end":4}`))
+		lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+		var last ErrorBody
+		if resp.StatusCode != http.StatusOK || len(lines) != 2 || json.Unmarshal([]byte(lines[1]), &last) != nil {
+			t.Fatalf("%v: status %d body %q", c.err, resp.StatusCode, body)
+		}
+		if last.Error.Code != c.code || backend.planRows != 24 || resp.Header.Get("X-Sweep-Rows") != "2" {
+			t.Fatalf("%v: code %q, plan rows %d, X-Sweep-Rows %q", c.err, last.Error.Code,
+				backend.planRows, resp.Header.Get("X-Sweep-Rows"))
+		}
+		mresp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, _ := io.ReadAll(mresp.Body)
+		mresp.Body.Close()
+		if !strings.Contains(string(doc), `"stub":7,`) {
+			t.Fatalf("metrics document lacks the backend's member: %s", doc)
+		}
 	}
 }

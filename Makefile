@@ -86,7 +86,11 @@ cover:
 	@rm -f cover.out
 
 # Short live-fuzz runs of every fuzz target (the committed seed corpora
-# already run in plain `make test`); lengthen with FUZZTIME=1m etc.
+# already run in plain `make test`); lengthen with FUZZTIME=1m etc. The
+# two row-check targets carry 20 KB nesting-depth seeds, and minimizing
+# each new input grown from one can take the engine's default minute:
+# without a bound on minimization their legs stall after a few thousand
+# executions instead of fuzzing.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeEvaluateRequest -fuzztime=$(FUZZTIME) ./internal/httpapi
@@ -98,7 +102,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzProcessDraw -fuzztime=$(FUZZTIME) ./internal/outage
 	$(GO) test -fuzz=FuzzResultsQuery -fuzztime=$(FUZZTIME) ./internal/resultstore
 	$(GO) test -fuzz=FuzzRowCodec -fuzztime=$(FUZZTIME) ./internal/resultstore
-	$(GO) test -fuzz=FuzzRowProbe -fuzztime=$(FUZZTIME) ./internal/fabric
+	$(GO) test -fuzz=FuzzRowProbe -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/fabric
+	$(GO) test -fuzz=FuzzScanMatchesValid -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/fabric
 
 # Allocation-regression gate: the aggregate simulation path and the sizing
 # inner loop must stay heap-allocation-free (see internal/cluster/alloc_test.go).

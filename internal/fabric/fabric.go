@@ -216,11 +216,12 @@ func (f *Fabric) Handler() http.Handler {
 	return api.Handler()
 }
 
-// shardOut is one completed shard on its way to the merger.
+// shardOut is one completed shard on its way to the merger: its rows,
+// newline-terminated and in plan order, in one buffer.
 type shardOut struct {
-	idx   int
-	lines [][]byte
-	err   error
+	idx  int
+	rows []byte
+	err  error
 }
 
 // Run compiles the spec and runs it with RunPlan: the one-shot form
@@ -238,8 +239,9 @@ func (f *Fabric) Run(ctx context.Context, spec grid.Spec, w io.Writer) error {
 // pool, and writes the merged NDJSON stream to w — byte-identical to a
 // single-node run of the same rows. plan may be a row range of the full
 // plan (grid.CompileRange): shards carry absolute indices, and planRows,
-// the full plan's row count, is what every worker must report. When w is
-// an http.Flusher it is flushed after each merged shard. RunPlan returns
+// the full plan's row count, is what every worker must report. Each
+// shard reaches w, when its turn comes, in one Write; when w is an
+// http.Flusher it is flushed after each merged shard. RunPlan returns
 // the first unrecoverable error (a shard exhausting retries and hedges,
 // context cancellation, or a write failure); on error the stream may be
 // truncated at a row boundary but never contains a wrong, duplicate, or
@@ -278,8 +280,8 @@ func (f *Fabric) RunPlan(ctx context.Context, spec grid.Spec, plan *grid.Plan, p
 			go func(i int, sh grid.RowRange) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				lines, err := f.runShard(ctx, spec, planRows, sh)
-				results <- shardOut{idx: i, lines: lines, err: err}
+				rows, err := f.runShard(ctx, spec, planRows, sh)
+				results <- shardOut{idx: i, rows: rows, err: err}
 			}(i, sh)
 		}
 		feedDone <- launched
@@ -320,16 +322,11 @@ func (f *Fabric) RunPlan(ctx context.Context, spec grid.Spec, plan *grid.Plan, p
 					break
 				}
 				delete(pending, next)
-				for _, line := range o.lines {
-					if _, err := w.Write(line); err != nil {
-						fail(fmt.Errorf("fabric: write merged stream: %w", err))
-						break
-					}
-					f.metrics.rowsMerged.Add(1)
-				}
-				if firstErr != nil {
+				if _, err := w.Write(o.rows); err != nil {
+					fail(fmt.Errorf("fabric: write merged stream: %w", err))
 					break
 				}
+				f.metrics.rowsMerged.Add(int64(shards[next].Rows()))
 				if flusher != nil {
 					flusher.Flush()
 				}

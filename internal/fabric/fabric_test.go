@@ -39,7 +39,7 @@ func intp(v int) *int { return &v }
 
 // singleNodeNDJSON runs the spec through the grid runner directly — the
 // bytes cmd/gridrun and a single backupd both produce.
-func singleNodeNDJSON(t *testing.T, spec grid.Spec) []byte {
+func singleNodeNDJSON(t testing.TB, spec grid.Spec) []byte {
 	t.Helper()
 	plan, err := grid.Compile(spec, grid.CompileOptions{DefaultServers: 64})
 	if err != nil {
@@ -475,5 +475,77 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 	if d := retryDelay(30, &attemptError{}); d != maxBackoff {
 		t.Fatalf("backoff cap: %v", d)
+	}
+}
+
+// countingWriter counts Write calls, and fails every one after the
+// first failAfter (0 = never) without writing any of it.
+type countingWriter struct {
+	bytes.Buffer
+	writes, failAfter int
+}
+
+var errWriterBroke = errors.New("writer broke")
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	if c.failAfter > 0 && c.writes > c.failAfter {
+		return 0, errWriterBroke
+	}
+	return c.Buffer.Write(p)
+}
+
+// TestRunPlanWritesOncePerShard: the merger hands each due shard to the
+// writer in one Write, the merged bytes are the single node's, and
+// rows_merged counts the plan's rows. A writer that fails mid-stream
+// ends the run with its own error, and the stream it kept holds whole
+// shards — whole rows — only, as rows_merged does.
+func TestRunPlanWritesOncePerShard(t *testing.T) {
+	spec := testSpec()
+	want := singleNodeNDJSON(t, spec)
+	plan, err := grid.Compile(spec, grid.CompileOptions{DefaultServers: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := newWorkers(t, 2, nil)
+	newFabric := func() *Fabric {
+		f, err := New(Options{Workers: urls, ShardRows: 5, HedgeAfter: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	shards := plan.Shards(5)
+	if len(shards) < 3 {
+		t.Fatalf("%d shards; the test needs at least 3", len(shards))
+	}
+
+	f := newFabric()
+	w := &countingWriter{}
+	if err := f.RunPlan(t.Context(), spec, plan, len(plan.Points), w); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatal("merged stream diverged from single node")
+	}
+	if w.writes != len(shards) {
+		t.Fatalf("%d writes for %d shards, want one per shard", w.writes, len(shards))
+	}
+	if got := f.Metrics().rowsMerged.Value(); got != int64(len(plan.Points)) {
+		t.Fatalf("rows_merged = %d, want the plan's %d rows", got, len(plan.Points))
+	}
+
+	f = newFabric()
+	w = &countingWriter{failAfter: 2}
+	err = f.RunPlan(t.Context(), spec, plan, len(plan.Points), w)
+	if !errors.Is(err, errWriterBroke) {
+		t.Fatalf("failing writer: error %v, want one wrapping %v", err, errWriterBroke)
+	}
+	kept := shards[0].Rows() + shards[1].Rows()
+	if lines := bytes.Count(w.Bytes(), []byte("\n")); !bytes.HasPrefix(want, w.Bytes()) || lines != kept {
+		t.Fatalf("failing writer kept %d lines, want the first two shards' %d whole rows:\n%s", lines, kept, w.Bytes())
+	}
+	if got := f.Metrics().rowsMerged.Value(); got != int64(kept) {
+		t.Fatalf("failing writer: rows_merged = %d, want the %d rows written", got, kept)
 	}
 }

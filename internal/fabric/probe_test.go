@@ -14,13 +14,14 @@ import (
 )
 
 // FuzzRowProbe is the differential check on the coordinator's row
-// check: for any line, probeLine (the leading-index fast path) and the
-// full json.Unmarshal into a lineProbe agree on the class — row, in-band
+// check: for any line, probeLine (the one-pass fast path) and the full
+// json.Unmarshal into a lineProbe agree on the class — row, in-band
 // error line, or reject — and on the row index. The committed corpus
 // holds the lines that sit at the fast path's edges: a valid prefix
 // over broken JSON, non-digits or an overflowing number after
-// {"index":, a leading space, an in-band error line, and later keys that
-// encoding/json would also read as the index.
+// {"index":, a leading space, an in-band error line, later keys that
+// encoding/json would also read as the index, keys and values that only
+// end in "ndex", and \u escapes after the prefix.
 func FuzzRowProbe(f *testing.F) {
 	f.Add([]byte(`{"index":7,"op":"best"}` + "\n"))
 	f.Add([]byte(`{"index":0,"error":{"code":"invalid_scenario"}}`))
@@ -40,24 +41,104 @@ func FuzzRowProbe(f *testing.F) {
 	})
 }
 
-// Every row a worker streams must take the fast path; otherwise the row
-// check silently falls back to a full decode per row.
-func TestProbeLineFastPathOnWorkerRows(t *testing.T) {
-	spec := testSpec()
-	spec.Op = grid.OpSize
-	spec.Configs = nil
-	spec.Techniques = nil
-	spec.TechniqueVariants = true
-	for _, s := range []grid.Spec{testSpec(), processSpec(), spec} {
-		lines := bytes.SplitAfter(singleNodeNDJSON(t, s), []byte("\n"))
-		lines = lines[:len(lines)-1] // the empty tail after the last newline
-		for i, line := range lines {
-			idx, ok := leadingIndex(line)
-			if !ok || idx != i || !json.Valid(line) {
-				t.Fatalf("row %d does not take the fast path (index %d, ok %v): %s", i, idx, ok, line)
+// validJSON is jsonScan over a whole document: one value with optional
+// whitespace around it.
+func validJSON(b []byte) bool {
+	s := jsonScan{b: b}
+	s.ws()
+	if !s.value() {
+		return false
+	}
+	s.ws()
+	return s.i == len(b)
+}
+
+// FuzzScanMatchesValid is the differential check on the validator under
+// the fast path: jsonScan accepts a document exactly when json.Valid
+// does, in both directions. The committed corpus holds nesting at the
+// depth bound and one past it, \u escapes (good, short, non-hex),
+// control bytes in strings, the number edges (01, 1., -, 1e+) and
+// whitespace around and between values.
+func FuzzScanMatchesValid(f *testing.F) {
+	f.Add([]byte(`{"a":[1,-0.5e+3,true,false,null,"x\"y"],"b":{}}`))
+	f.Add([]byte(" \t\r\n[]\n"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if got, want := validJSON(b), json.Valid(b); got != want {
+			t.Fatalf("%q: jsonScan says valid=%v, json.Valid says %v", b, got, want)
+		}
+	})
+}
+
+// TestScanNestingBound pins which side of the depth bound each
+// document falls on, which the differential fuzz targets only check for
+// agreement: json.Valid and jsonScan both take maxNestingDepth nested
+// arrays and objects and refuse one more, and a row nested that deep
+// inside its own object still takes the fast path.
+func TestScanNestingBound(t *testing.T) {
+	for _, depth := range []int{maxNestingDepth, maxNestingDepth + 1} {
+		for _, open := range []string{"[", `{"a":`} {
+			closer := map[string]string{"[": "]", `{"a":`: "}"}[open]
+			doc := strings.Repeat(open, depth) + "1" + strings.Repeat(closer, depth)
+			if got, want := validJSON([]byte(doc)), depth <= maxNestingDepth; got != want || json.Valid([]byte(doc)) != want {
+				t.Fatalf("depth %d of %q: jsonScan %v, json.Valid %v, want %v", depth, open, got, json.Valid([]byte(doc)), want)
+			}
+			// The row's own object is one level: depth-1 more fit in it.
+			row := []byte(`{"index":3,"r":` + doc[len(open):len(doc)-len(closer)] + "}\n")
+			if _, ok := fastProbe(row); ok != (depth <= maxNestingDepth) || ok != json.Valid(row) {
+				t.Fatalf("row nested %d deep: fastProbe %v, json.Valid %v", depth, ok, json.Valid(row))
 			}
 		}
 	}
+}
+
+// Every row a worker streams — evaluate, best, size and process rows —
+// must take the fast path; otherwise the row check silently falls back
+// to a full decode per row.
+func TestProbeLineFastPathOnWorkerRows(t *testing.T) {
+	size := testSpec()
+	size.Op = grid.OpSize
+	size.Configs = nil
+	size.Techniques = nil
+	size.TechniqueVariants = true
+	best := testSpec()
+	best.Op = grid.OpBest
+	best.Techniques = nil
+	for _, s := range []grid.Spec{testSpec(), best, processSpec(), size} {
+		lines := bytes.SplitAfter(singleNodeNDJSON(t, s), []byte("\n"))
+		lines = lines[:len(lines)-1] // the empty tail after the last newline
+		if len(lines) == 0 {
+			t.Fatalf("%q spec streamed no rows", s.Op)
+		}
+		for i, line := range lines {
+			if idx, ok := fastProbe(line); !ok || idx != i {
+				t.Fatalf("%q row %d does not take the fast path (index %d, ok %v): %s", s.Op, i, idx, ok, line)
+			}
+		}
+	}
+}
+
+// BenchmarkRowCheck compares the row check's one pass with json.Valid
+// alone, per row of an evaluate stream.
+func BenchmarkRowCheck(b *testing.B) {
+	spec := testSpec()
+	spec.Techniques = nil
+	spec.TechniqueVariants = true
+	rows := bytes.SplitAfter(singleNodeNDJSON(b, spec), []byte("\n"))
+	rows = rows[:len(rows)-1]
+	b.Run("fastProbe", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := fastProbe(rows[i%len(rows)]); !ok {
+				b.Fatal("row declined")
+			}
+		}
+	})
+	b.Run("json.Valid", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if !json.Valid(rows[i%len(rows)]) {
+				b.Fatal("row invalid")
+			}
+		}
+	})
 }
 
 // lyingWorker rewrites one extent header of every sweep response before

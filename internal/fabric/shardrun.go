@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -30,9 +31,12 @@ type attemptError struct {
 	msg        string
 	permanent  bool          // a retry cannot help (the request itself is rejected)
 	retryAfter time.Duration // the worker's requested pause (429), 0 if none
+	cause      error         // the read error that broke the stream, if any
 }
 
 func (e *attemptError) Error() string { return e.msg }
+
+func (e *attemptError) Unwrap() error { return e.cause }
 
 func permanent(err error) bool {
 	var ae *attemptError
@@ -43,22 +47,23 @@ func permanent(err error) bool {
 // (watermark-resumed retries with backoff), plus — once the shard has run
 // past the hedge trigger — a second independent chain racing it from the
 // shard's start on another worker. The first chain to deliver the whole
-// range wins and the loser is cancelled; only the winner's buffer is
-// returned, so hedging never changes the merged bytes.
-func (f *Fabric) runShard(ctx context.Context, spec grid.Spec, planRows int, sh grid.RowRange) ([][]byte, error) {
+// range wins and the loser is cancelled; only the winner's buffer — the
+// shard's rows, newline-terminated, in plan order — is returned, so
+// hedging never changes the merged bytes.
+func (f *Fabric) runShard(ctx context.Context, spec grid.Spec, planRows int, sh grid.RowRange) ([]byte, error) {
 	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type out struct {
-		lines [][]byte
-		err   error
+		rows []byte
+		err  error
 	}
 	resc := make(chan out, 2) // buffered: a losing chain must never block
 	launch := func() {
 		go func() {
-			lines, err := f.runChain(ctx, spec, planRows, sh)
-			resc <- out{lines: lines, err: err}
+			rows, err := f.runChain(ctx, spec, planRows, sh)
+			resc <- out{rows: rows, err: err}
 		}()
 	}
 	launch()
@@ -83,7 +88,7 @@ func (f *Fabric) runShard(ctx context.Context, spec grid.Spec, planRows int, sh 
 					f.metrics.shardsCancelled.Add(int64(chains))
 				}
 				f.metrics.observeShardLatency(time.Since(start))
-				return o.lines, nil
+				return o.rows, nil
 			}
 			lastErr = o.err
 			if permanent(o.err) || chains == 0 {
@@ -125,8 +130,9 @@ func (f *Fabric) hedgeDelay() (time.Duration, bool) {
 // chain's watermark, keep the validated prefix on failure, back off
 // (honoring Retry-After), and re-dispatch the remainder — preferring a
 // different worker than the one that just failed — up to MaxRetries times.
-func (f *Fabric) runChain(ctx context.Context, spec grid.Spec, planRows int, sh grid.RowRange) ([][]byte, error) {
-	lines := make([][]byte, 0, sh.Rows())
+// Every attempt appends its validated rows to the chain's one buffer.
+func (f *Fabric) runChain(ctx context.Context, spec grid.Spec, planRows int, sh grid.RowRange) ([]byte, error) {
+	var rows []byte
 	watermark := sh.Start
 	var last *worker
 	var lastErr error
@@ -137,21 +143,21 @@ func (f *Fabric) runChain(ctx context.Context, spec grid.Spec, planRows int, sh 
 				return nil, err
 			}
 		}
-		rows := sh.End - watermark
-		w, err := f.pool.acquire(ctx, rows, last)
+		left := sh.End - watermark
+		w, err := f.pool.acquire(ctx, left, last)
 		if err != nil {
 			return nil, err
 		}
 		f.metrics.shardsDispatched.Add(1)
 		f.metrics.workerDispatched.Add(w.url, 1)
-		before := len(lines)
-		watermark, err = f.fetch(ctx, w, spec, planRows, grid.RowRange{Start: watermark, End: sh.End}, &lines)
-		f.pool.release(w, rows, err == nil)
+		from := watermark
+		watermark, err = f.fetch(ctx, w, spec, planRows, grid.RowRange{Start: watermark, End: sh.End}, &rows)
+		f.pool.release(w, left, err == nil)
 		if err == nil {
-			return lines, nil
+			return rows, nil
 		}
 		f.metrics.workerFailed.Add(w.url, 1)
-		f.metrics.workerRows.Add(w.url, int64(len(lines)-before))
+		f.metrics.workerRows.Add(w.url, int64(watermark-from))
 		if permanent(err) || ctx.Err() != nil || attempt >= f.opt.MaxRetries {
 			return nil, err
 		}
@@ -176,97 +182,22 @@ func retryDelay(attempt int, lastErr error) time.Duration {
 	return d
 }
 
-// lineProbe is the minimal decode of one NDJSON line: enough to tell a
-// row (index present; row-level errors included — they are rows) from a
-// terminal in-band error line (no index, error object), and to validate
-// stream contiguity.
-type lineProbe struct {
-	Index *int            `json:"index"`
-	Error json.RawMessage `json:"error"`
-}
-
-// probed is a classified stream line: a row with its plan index, or a
-// terminal in-band error with the worker's error object.
-type probed struct {
-	row    bool
-	index  int
-	detail json.RawMessage
-}
-
-// probeLine classifies one stream line exactly as json.Unmarshal into a
-// lineProbe would (FuzzRowProbe pins the agreement), but reads a row's
-// index from its leading {"index":N, and only checks that the rest is
-// valid JSON — every row a worker writes starts that way, so the decode
-// is left to the lines that do not: in-band errors and malformed input.
-func probeLine(line []byte) (probed, error) {
-	if idx, ok := leadingIndex(line); ok && json.Valid(line) {
-		return probed{row: true, index: idx}, nil
-	}
-	return unmarshalProbe(line)
-}
-
-// unmarshalProbe is the full decode behind probeLine's fast path.
-func unmarshalProbe(line []byte) (probed, error) {
-	var p lineProbe
-	if err := json.Unmarshal(line, &p); err != nil {
-		return probed{}, err
-	}
-	if p.Index == nil {
-		return probed{detail: p.Error}, nil
-	}
-	return probed{row: true, index: *p.Index}, nil
-}
-
-var indexPrefix = []byte(`{"index":`)
-
-// leadingIndex reads N from a line that starts {"index":N, with N a
-// plain decimal of at most 18 digits (so it cannot overflow). It
-// declines whenever json.Unmarshal could read another index from the
-// line: a later key that encoding/json matches to "index" (a duplicate,
-// or the same name in another case) overrides the first, so any key
-// ending in "ndex" under ASCII case folding — no other rune folds to
-// n, d, e or x — or any \u escape sends the line to the full decode.
-func leadingIndex(line []byte) (int, bool) {
-	if !bytes.HasPrefix(line, indexPrefix) {
-		return 0, false
-	}
-	rest := line[len(indexPrefix):]
-	n, i := 0, 0
-	for ; i < len(rest) && i < 18 && '0' <= rest[i] && rest[i] <= '9'; i++ {
-		n = n*10 + int(rest[i]-'0')
-	}
-	if i == 0 || i == len(rest) || rest[i] != ',' || (rest[0] == '0' && i > 1) {
-		return 0, false
-	}
-	rest = rest[i:]
-	if bytes.Contains(rest, []byte(`\u`)) {
-		return 0, false
-	}
-	for {
-		q := bytes.IndexByte(rest, '"')
-		if q < 0 {
-			return n, true
-		}
-		if q >= 4 && bytes.EqualFold(rest[q-4:q], []byte("ndex")) {
-			return 0, false
-		}
-		rest = rest[q+1:]
-	}
-}
-
 // fetch runs one HTTP attempt for rows [r.Start, r.End): POST /v1/sweep
 // with the spec and the explicit row range, validating that the response
 // streams exactly the requested rows in order. Validated lines are
-// appended to *lines verbatim (the merged output is the workers' bytes,
-// never re-encoded). It returns the new watermark — r.Start plus the
-// validated rows — and nil only when the whole range arrived.
+// appended to *buf verbatim (the merged output is the workers' bytes,
+// never re-encoded); a line that fails its check is cut back off, so
+// *buf only ever holds whole validated rows. It returns the new
+// watermark — r.Start plus the validated rows — and nil only when the
+// whole range arrived.
 //
 // The worker's extent headers must agree with the coordinator: a
 // X-Sweep-Plan-Rows other than planRows means the worker compiled a
 // different plan, and a X-Sweep-Rows other than the range's size means
 // it is about to stream the wrong rows. Either is a worker fault, retried
-// elsewhere like a dead stream.
-func (f *Fabric) fetch(ctx context.Context, w *worker, spec grid.Spec, planRows int, r grid.RowRange, lines *[][]byte) (int, error) {
+// elsewhere like a dead stream. So is a line longer than maxLineBytes:
+// the coordinator never buffers more than that of one unterminated line.
+func (f *Fabric) fetch(ctx context.Context, w *worker, spec grid.Spec, planRows int, r grid.RowRange, buf *[]byte) (int, error) {
 	body, err := json.Marshal(httpapi.SweepRequest{
 		Spec:     spec,
 		Width:    f.opt.WorkerWidth,
@@ -311,31 +242,73 @@ func (f *Fabric) fetch(ctx context.Context, w *worker, spec grid.Spec, planRows 
 	rd := bufio.NewReader(resp.Body)
 	want := r.Start
 	for want < r.End {
-		line, err := rd.ReadBytes('\n')
-		if err != nil {
+		start := len(*buf)
+		if err := readLine(rd, buf); err != nil {
+			*buf = (*buf)[:start]
 			if ctx.Err() != nil {
 				return want, ctx.Err()
 			}
 			return want, &attemptError{msg: fmt.Sprintf(
-				"%s: stream died at row %d of [%d,%d): %v", w.url, want, r.Start, r.End, err)}
+				"%s: stream died at row %d of [%d,%d): %v", w.url, want, r.Start, r.End, err), cause: err}
 		}
+		line := (*buf)[start:]
 		probe, err := probeLine(line)
-		if err != nil {
-			return want, &attemptError{msg: fmt.Sprintf("%s: undecodable stream line: %v", w.url, err)}
+		if err == nil && probe.row && probe.index == want {
+			if want == r.Start {
+				// The first row sizes the rest of the range, with an
+				// eighth to spare, so the buffer grows about once per
+				// attempt. The per-row guess is capped: a long first line
+				// cannot make the coordinator reserve rows × maxLineBytes.
+				*buf = slices.Grow(*buf, (r.Rows()-1)*min(len(line), rowReserveBytes)*9/8)
+			}
+			want++
+			continue
 		}
-		if !probe.row {
+		*buf = (*buf)[:start]
+		switch {
+		case err != nil:
+			return want, &attemptError{msg: fmt.Sprintf("%s: undecodable stream line: %v", w.url, err)}
+		case !probe.row:
 			// Terminal in-band error: the worker's run failed mid-stream.
 			return want, attemptFromInbandError(w.url, probe.detail)
-		}
-		if probe.index != want {
+		default:
 			return want, &attemptError{msg: fmt.Sprintf(
 				"%s: stream discontinuity: got row %d, want %d", w.url, probe.index, want)}
 		}
-		*lines = append(*lines, line)
-		want++
 	}
 	f.metrics.workerRows.Add(w.url, int64(r.Rows()))
 	return want, nil
+}
+
+// maxLineBytes bounds one stream line, newline included: a row echoes
+// part of its spec, and a spec arrives in a request body capped at 1 MiB
+// (httpapi's default MaxBodyBytes), so no honest row comes near it.
+// rowReserveBytes caps the per-row size fetch reserves ahead.
+const (
+	maxLineBytes    = 1 << 20
+	rowReserveBytes = 4 << 10
+)
+
+// errLineTooLong fails an attempt whose worker streamed a line past
+// maxLineBytes.
+var errLineTooLong = fmt.Errorf("line longer than %d bytes", maxLineBytes)
+
+// readLine appends the next line, newline included, to *buf, reading
+// it straight out of rd's buffer. A line that does not end before
+// maxLineBytes, or before the stream does, is an error; what was
+// appended of it is left for the caller to cut back.
+func readLine(rd *bufio.Reader, buf *[]byte) error {
+	n := 0
+	for {
+		frag, err := rd.ReadSlice('\n')
+		if n += len(frag); n > maxLineBytes {
+			return errLineTooLong
+		}
+		*buf = append(*buf, frag...)
+		if err != bufio.ErrBufferFull {
+			return err
+		}
+	}
 }
 
 // attemptFromStatus classifies a non-200 response: 429 is transient and

@@ -409,27 +409,43 @@ func compile(spec Spec, opt CompileOptions, part *RowRange) (*Plan, int, error) 
 		return nil, 0, err
 	}
 
-	// Enumerate. Cross order, outermost to innermost: servers,
-	// workloads, configs, techniques, outages. The filter decides on the
-	// pre-filter position and the outage alone, so every row is counted
-	// but only the rows inside the requested range become Points.
-	plan := &Plan{Op: op}
-	lo, hi := 0, total
-	if part != nil {
-		lo, hi = part.Start, part.End
-		if n := min(hi, total) - max(lo, 0); n > 0 {
-			plan.Points = make([]Point, 0, n)
+	// Count the surviving rows first, so Points is allocated once at its
+	// exact size. The filter decides on the pre-filter position and the
+	// outage alone, and position pre always has outage
+	// outAxis[pre%len(outAxis)]: outages are innermost in cross order,
+	// and a zip longer than one row runs every longer axis, outages
+	// included, with the position.
+	rows := 0
+	for pre := range total {
+		if filter.keep(pre, outAxis[pre%len(outAxis)].dur) {
+			rows++
 		}
 	}
-	pre, rows := 0, 0
+	lo, hi := 0, rows
+	if part != nil {
+		if err := checkRange(*part, rows); err != nil {
+			return nil, 0, err
+		}
+		lo, hi = part.Start, part.End
+	}
+	plan := &Plan{Op: op}
+	if hi > lo {
+		plan.Points = make([]Point, 0, hi-lo)
+	}
+
+	// Enumerate. Cross order, outermost to innermost: servers,
+	// workloads, configs, techniques, outages. Every surviving row is
+	// numbered, but only the rows inside the requested range become
+	// Points.
+	pre, next := 0, 0
 	add := func(si, wi, ci, ti, oi int) {
 		keep := filter.keep(pre, outAxis[oi].dur)
 		pre++
 		if !keep {
 			return
 		}
-		idx := rows
-		rows++
+		idx := next
+		next++
 		if idx < lo || idx >= hi {
 			return
 		}
@@ -469,11 +485,6 @@ func compile(spec Spec, opt CompileOptions, part *RowRange) (*Plan, int, error) 
 					}
 				}
 			}
-		}
-	}
-	if part != nil {
-		if err := checkRange(*part, rows); err != nil {
-			return nil, 0, err
 		}
 	}
 	return plan, rows, nil

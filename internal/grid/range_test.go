@@ -263,3 +263,54 @@ func TestCompileRangeAllocBound(t *testing.T) {
 	}
 	t.Logf("CompileRange of a 64-row range allocates %d B", best)
 }
+
+// TestCompileAllocBound pins the head of every coordinator request and
+// every backupd study: compile sizes Points to the surviving rows before
+// it enumerates, so the 4320-row study costs its points once rather than
+// the 1.25× growth steps append would take. Filtered and zipped plans
+// get exact capacity too.
+func TestCompileAllocBound(t *testing.T) {
+	spec := studySpec()
+	opt := CompileOptions{DefaultServers: 64}
+	measure := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		plan, err := Compile(spec, opt)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(plan.Points) != 4320 {
+			t.Fatalf("Compile: %d points, err %v", len(plan.Points), err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	best := measure()
+	for i := 0; i < 4; i++ {
+		best = min(best, measure())
+	}
+	const bound = 2 << 20
+	if best > bound {
+		t.Fatalf("Compile of the 4320-row study allocated %d B, past the %d B bound", best, bound)
+	}
+	t.Logf("Compile of the 4320-row study allocates %d B", best)
+
+	sampled := studySpec()
+	sampled.Filter = &Filter{SampleEvery: 7}
+	band := studySpec()
+	band.Filter = &Filter{MinOutage: "20m", MaxOutage: "1h30m"}
+	zip := Spec{
+		Workloads:  []string{"specjbb"},
+		Configs:    []ConfigDTO{{Name: "MaxPerf"}, {Name: "NoDG"}, {Name: "MinCost"}},
+		Techniques: []TechniqueDTO{{Name: "baseline"}},
+		Outages:    []string{"30s", "5m", "30m"},
+		Zip:        true,
+		Filter:     &Filter{MaxOutage: "10m"},
+	}
+	for name, s := range map[string]Spec{"study": studySpec(), "sample_every": sampled, "outage band": band, "zip": zip} {
+		plan, err := Compile(s, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(plan.Points) == 0 || cap(plan.Points) != len(plan.Points) {
+			t.Fatalf("%s: %d points in capacity %d, want exact", name, len(plan.Points), cap(plan.Points))
+		}
+	}
+}
